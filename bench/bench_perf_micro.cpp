@@ -319,6 +319,40 @@ BENCHMARK(BM_FitSweepParallel)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
+/// Single-threaded fit at the shape of the crawled store fitted by
+/// `perfbench` crawl_study: A=3008 apps, U=450 users, d≈124 downloads per
+/// user, C=34 categories, on the default SweepOptions grid. Here d is large
+/// enough that fetch-at-most-once bookkeeping dominates each draw, which the
+/// d=10 scaling sweep above never exercises.
+void BM_FitCrawlShape(benchmark::State& state, models::ModelKind kind) {
+  models::ModelParams params;
+  params.app_count = 3'008;
+  params.user_count = 450;
+  params.downloads_per_user = 124.0;
+  params.zr = 1.6;
+  params.zc = 1.3;
+  params.p = 0.85;
+  params.cluster_count = 34;
+  const auto truth = models::make_model(models::ModelKind::kAppClustering, params);
+  util::Rng rng(11);
+  const auto measured = truth->generate(rng, false).by_rank();
+
+  fit::SweepOptions options;
+  options.seed = 12;
+  options.threads = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fit::fit_model(kind, measured, params.user_count, params.cluster_count, options));
+  }
+  state.SetLabel(std::string(to_string(kind)));
+}
+BENCHMARK_CAPTURE(BM_FitCrawlShape, zipf_amo, models::ModelKind::kZipfAtMostOnce)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
+BENCHMARK_CAPTURE(BM_FitCrawlShape, app_clustering, models::ModelKind::kAppClustering)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
+
 void BM_BootstrapParallel(benchmark::State& state) {
   util::Rng rng(9);
   std::vector<double> sample(20'000);

@@ -157,18 +157,4 @@ std::vector<UsersSweepPoint> sweep_users(models::ModelKind kind,
   return points;
 }
 
-std::vector<UsersSweepPoint> sweep_users(models::ModelKind kind,
-                                         std::span<const double> measured_by_rank,
-                                         const models::ModelParams& params,
-                                         std::span<const double> user_ratios,
-                                         std::uint64_t seed, bool analytic,
-                                         std::uint32_t replicates,
-                                         const models::ClusterLayout* layout) {
-  return sweep_users(kind, measured_by_rank, params, user_ratios,
-                     UsersSweepOptions{.seed = seed,
-                                       .analytic = analytic,
-                                       .replicates = replicates,
-                                       .layout = layout});
-}
-
 }  // namespace appstore::fit

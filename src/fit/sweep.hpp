@@ -87,13 +87,6 @@ struct UsersSweepOptions {
     const models::ModelParams& params, std::span<const double> user_ratios,
     const UsersSweepOptions& options);
 
-/// Deprecated positional form; forwards to the UsersSweepOptions overload.
-[[nodiscard]] std::vector<UsersSweepPoint> sweep_users(
-    models::ModelKind kind, std::span<const double> measured_by_rank,
-    const models::ModelParams& params, std::span<const double> user_ratios,
-    std::uint64_t seed, bool analytic = false, std::uint32_t replicates = 1,
-    const models::ClusterLayout* layout = nullptr);
-
 /// Shared helper: Eq.-6 distance between a measured curve and a model
 /// realization (Monte Carlo or analytic), comparing rank-by-rank.
 [[nodiscard]] double evaluate_distance(const models::DownloadModel& model,

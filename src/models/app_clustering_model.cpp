@@ -12,7 +12,8 @@ namespace {
 
 class ClusteringSession final : public Session {
  public:
-  explicit ClusteringSession(const AppClusteringModel& model) : model_(model) {}
+  explicit ClusteringSession(const AppClusteringModel& model)
+      : model_(model), cluster_fetched_(model.layout().cluster_count(), 0) {}
 
   [[nodiscard]] std::uint32_t next(util::Rng& rng) override {
     const auto& layout = model_.layout();
@@ -21,6 +22,7 @@ class ClusteringSession final : public Session {
       // Step 1 / step 2.2: global ZG draw, fetch-at-most-once.
       app = draw_unfetched(
           rng, fetched_, model_.params().app_count,
+          static_cast<std::uint32_t>(fetched_.size()),
           [this](util::Rng& r) {
             return static_cast<std::uint32_t>(model_.global_sampler().sample_index(r));
           },
@@ -33,14 +35,15 @@ class ClusteringSession final : public Session {
       app = model_.params().app_count;  // sentinel
       for (int anchor_attempt = 0; anchor_attempt < 8; ++anchor_attempt) {
         const std::uint32_t anchor =
-            fetched_.fetched[static_cast<std::size_t>(rng.below(fetched_.size()))];
+            fetched_[static_cast<std::size_t>(rng.below(fetched_.size()))];
         const std::uint32_t cluster = layout.cluster_of(anchor);
         const auto& members = layout.members(cluster);
-        if (fetched_in(members) >= members.size()) continue;
+        if (cluster_fetched_[cluster] >= members.size()) continue;
         const auto& sampler =
             model_.sampler_for_size(static_cast<std::uint32_t>(members.size()));
         app = draw_unfetched(
             rng, fetched_, static_cast<std::uint32_t>(members.size()),
+            cluster_fetched_[cluster],
             [&sampler](util::Rng& r) {
               return static_cast<std::uint32_t>(sampler.sample_index(r));
             },
@@ -50,6 +53,7 @@ class ClusteringSession final : public Session {
       if (app == model_.params().app_count) {
         app = draw_unfetched(
             rng, fetched_, model_.params().app_count,
+            static_cast<std::uint32_t>(fetched_.size()),
             [this](util::Rng& r) {
               return static_cast<std::uint32_t>(model_.global_sampler().sample_index(r));
             },
@@ -57,6 +61,7 @@ class ClusteringSession final : public Session {
       }
     }
     fetched_.insert(app);
+    ++cluster_fetched_[layout.cluster_of(app)];
     return app;
   }
 
@@ -65,23 +70,11 @@ class ClusteringSession final : public Session {
   }
 
  private:
-  [[nodiscard]] std::size_t fetched_in(const std::vector<std::uint32_t>& members) const {
-    // fetched_ is tiny (d entries); counting against it is cheaper than
-    // maintaining per-cluster tallies.
-    std::size_t count = 0;
-    for (const auto app : fetched_.fetched) {
-      for (const auto member : members) {
-        if (member == app) {
-          ++count;
-          break;
-        }
-      }
-    }
-    return count;
-  }
-
   const AppClusteringModel& model_;
   FetchedSet fetched_;
+  /// Fetched apps per cluster: a saturated anchor cluster is an O(1) test,
+  /// and draw_unfetched's fallback needs no count of its own.
+  std::vector<std::uint32_t> cluster_fetched_;
 };
 
 }  // namespace

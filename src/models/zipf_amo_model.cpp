@@ -1,9 +1,31 @@
 #include "models/zipf_amo_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace appstore::models {
+
+void FetchedSet::insert(std::uint32_t app) {
+  fetched_.push_back(app);
+  if (fetched_.size() * 2 > slots_.size()) {
+    // Double (16 slots at first) and rehash from the fetch order.
+    bits_ = std::max(bits_ + 1, 4u);
+    slots_.assign(std::size_t{1} << bits_, 0);
+    for (std::size_t position = 0; position < fetched_.size(); ++position) {
+      place(static_cast<std::uint32_t>(position));
+    }
+  } else {
+    place(static_cast<std::uint32_t>(fetched_.size() - 1));
+  }
+}
+
+void FetchedSet::place(std::uint32_t position) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = home(fetched_[position]);
+  while (slots_[slot] != 0) slot = (slot + 1) & mask;
+  slots_[slot] = position + 1;
+}
 
 namespace {
 
@@ -14,7 +36,7 @@ class AmoSession final : public Session {
 
   [[nodiscard]] std::uint32_t next(util::Rng& rng) override {
     const std::uint32_t app = draw_unfetched(
-        rng, fetched_, app_count_,
+        rng, fetched_, app_count_, static_cast<std::uint32_t>(fetched_.size()),
         [this](util::Rng& r) { return static_cast<std::uint32_t>(global_->sample_index(r)); },
         [](std::uint32_t index) { return index; });
     fetched_.insert(app);

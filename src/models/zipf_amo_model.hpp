@@ -4,7 +4,9 @@
 // property of [Gummadi et al., SOSP'03]).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "models/model.hpp"
 #include "stats/zipf.hpp"
@@ -34,40 +36,62 @@ class ZipfAtMostOnceModel final : public DownloadModel {
   std::shared_ptr<const stats::ZipfSampler> global_;
 };
 
-/// Shared helper: fetch-at-most-once rejection sampling with a bounded retry
-/// loop. After `max_retries` hits on already-fetched apps it falls back to a
-/// uniform draw over the not-yet-fetched set, guaranteeing termination even
-/// for pathological (tiny-A, huge-d) parameterizations. Exposed for tests.
-struct FetchedSet {
-  std::vector<std::uint32_t> fetched;  ///< in fetch order (small: d entries)
-
+/// A user's fetch-at-most-once history: the fetched apps in fetch order
+/// (APP-CLUSTERING anchors index into that order) plus an open-addressing
+/// index over them, so contains() is O(1) expected instead of a scan of up
+/// to d entries. Index slots hold a position in the fetch order plus one
+/// (0 = empty), so every uint32 app id is storable. The table is a power of
+/// two at most half full: memory is O(d). Exposed for tests.
+class FetchedSet {
+ public:
   [[nodiscard]] bool contains(std::uint32_t app) const noexcept {
-    for (const auto f : fetched) {
-      if (f == app) return true;
+    if (slots_.empty()) return false;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = home(app); slots_[slot] != 0; slot = (slot + 1) & mask) {
+      if (fetched_[slots_[slot] - 1] == app) return true;
     }
     return false;
   }
-  void insert(std::uint32_t app) { fetched.push_back(app); }
-  [[nodiscard]] std::size_t size() const noexcept { return fetched.size(); }
+
+  /// Precondition: !contains(app).
+  void insert(std::uint32_t app);
+
+  [[nodiscard]] std::size_t size() const noexcept { return fetched_.size(); }
+
+  /// The `i`-th fetched app, in fetch order.
+  [[nodiscard]] std::uint32_t operator[](std::size_t i) const noexcept { return fetched_[i]; }
+
+ private:
+  /// Fibonacci hashing onto the table's top `bits_` bits.
+  [[nodiscard]] std::size_t home(std::uint32_t app) const noexcept {
+    return static_cast<std::uint32_t>(app * 0x9E3779B9u) >> (32 - bits_);
+  }
+  void place(std::uint32_t position);
+
+  std::vector<std::uint32_t> fetched_;  ///< in fetch order (d entries)
+  std::vector<std::uint32_t> slots_;    ///< position + 1 in fetched_, 0 = empty
+  unsigned bits_ = 0;                   ///< slots_.size() == 1 << bits_
 };
 
-/// Draws from `sample(rng)` until the result is not in `fetched`; falls back
-/// to uniform-over-complement after `max_retries` rejections. `universe` is
-/// the number of candidate apps the sampler can produce.
+/// Fetch-at-most-once rejection sampling with a bounded retry loop: draws
+/// from `sample(rng)` until the result is not in `fetched`. After
+/// `max_retries` hits on already-fetched apps it falls back to a uniform draw
+/// over the not-yet-fetched set (O(universe)), guaranteeing termination even
+/// for pathological (tiny-A, huge-d) parameterizations. `universe` is the
+/// number of candidate apps the sampler can produce, and `fetched_in_universe`
+/// how many of them are already fetched (the caller keeps that tally);
+/// precondition: fetched_in_universe < universe. Exposed for tests.
 template <typename SampleFn, typename MapFn>
 [[nodiscard]] std::uint32_t draw_unfetched(util::Rng& rng, const FetchedSet& fetched,
-                                           std::uint32_t universe, SampleFn&& sample,
-                                           MapFn&& map_index, int max_retries = 64) {
+                                           std::uint32_t universe,
+                                           std::uint32_t fetched_in_universe,
+                                           SampleFn&& sample, MapFn&& map_index,
+                                           int max_retries = 64) {
   for (int attempt = 0; attempt < max_retries; ++attempt) {
     const std::uint32_t app = map_index(sample(rng));
     if (!fetched.contains(app)) return app;
   }
   // Fallback: uniformly choose among the remaining apps by skip-counting.
-  // Counts fetched apps within this sampler's universe to size the complement.
-  std::uint32_t fetched_in_universe = 0;
-  for (std::uint32_t offset = 0; offset < universe; ++offset) {
-    if (fetched.contains(map_index(offset))) ++fetched_in_universe;
-  }
   const std::uint32_t remaining = universe - fetched_in_universe;
   std::uint32_t target = static_cast<std::uint32_t>(rng.below(remaining));
   for (std::uint32_t offset = 0; offset < universe; ++offset) {

@@ -13,6 +13,7 @@
 #include "models/zipf_model.hpp"
 #include "stats/correlation.hpp"
 #include "stats/powerlaw.hpp"
+#include "stats/zipf.hpp"
 
 namespace appstore::models {
 namespace {
@@ -223,10 +224,35 @@ TEST(DrawUnfetched, FallbackTerminatesAndIsUnfetched) {
   fetched.insert(0);
   util::Rng rng(9);
   const std::uint32_t app = draw_unfetched(
-      rng, fetched, 4, [](util::Rng&) { return 0u; },
+      rng, fetched, 4, 1, [](util::Rng&) { return 0u; },
       [](std::uint32_t index) { return index; }, 4);
   EXPECT_NE(app, 0u);
   EXPECT_LT(app, 4u);
+}
+
+TEST(FetchedSet, IndexSurvivesGrowthAndKeepsFetchOrder) {
+  // Grows the index from empty through several doublings. Apps include both
+  // ends of the id range and ids that share their low bits.
+  std::vector<std::uint32_t> apps = {0u, 0xFFFFFFFEu, 0xFFFFFFFFu, 1u};
+  for (std::uint32_t k = 1; k <= 300; ++k) apps.push_back(k << 20);
+  for (std::uint32_t k = 0; k < 300; ++k) apps.push_back(7 + 13 * k);
+
+  FetchedSet fetched;
+  EXPECT_FALSE(fetched.contains(0));
+  EXPECT_FALSE(fetched.contains(0xFFFFFFFFu));
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    fetched.insert(apps[i]);
+    ASSERT_EQ(fetched.size(), i + 1);
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_TRUE(fetched.contains(apps[j])) << "app " << apps[j] << " after " << i + 1;
+      ASSERT_EQ(fetched[j], apps[j]);
+    }
+    for (std::size_t j = i + 1; j < apps.size(); ++j) {
+      ASSERT_FALSE(fetched.contains(apps[j])) << "app " << apps[j] << " after " << i + 1;
+    }
+  }
+  EXPECT_FALSE(fetched.contains(2));
+  EXPECT_FALSE(fetched.contains(0xFFFFFFFDu));
 }
 
 // ---- APP-CLUSTERING -----------------------------------------------------------------
@@ -437,6 +463,260 @@ TEST(Stream, AggregateCountsMatchDirectGeneration) {
     const double expected = static_cast<double>(batch.downloads[a]);
     EXPECT_NEAR(static_cast<double>(stream_counts[a]), expected, expected * 0.1 + 20);
   }
+}
+
+// ---- differential: indexed sessions vs the linear-scan reference -------------------
+//
+// The sessions in src/models keep fetch-at-most-once state in an indexed
+// FetchedSet and per-cluster tallies. The reference below is the linear-scan
+// bookkeeping they replaced, kept here only: a vector scanned on every
+// contains() and a per-anchor count of fetched cluster members. Both must
+// emit the same app sequence per user and consume the same random draws.
+
+namespace reference {
+
+struct LinearFetchedSet {
+  std::vector<std::uint32_t> fetched;
+
+  [[nodiscard]] bool contains(std::uint32_t app) const noexcept {
+    for (const auto f : fetched) {
+      if (f == app) return true;
+    }
+    return false;
+  }
+  void insert(std::uint32_t app) { fetched.push_back(app); }
+  [[nodiscard]] std::size_t size() const noexcept { return fetched.size(); }
+};
+
+/// Which rarely-taken paths a grid exercised.
+struct Coverage {
+  std::uint64_t fallbacks = 0;          ///< draw_unfetched uniform fallbacks
+  std::uint64_t saturated_anchors = 0;  ///< anchors whose cluster was full
+  std::uint64_t global_after_anchors = 0;  ///< 8 saturated anchors in a row
+  std::uint64_t exhausted_users = 0;
+};
+
+template <typename SampleFn, typename MapFn>
+std::uint32_t draw_unfetched(util::Rng& rng, const LinearFetchedSet& fetched,
+                             std::uint32_t universe, SampleFn&& sample, MapFn&& map_index,
+                             Coverage& coverage, int max_retries = 64) {
+  for (int attempt = 0; attempt < max_retries; ++attempt) {
+    const std::uint32_t app = map_index(sample(rng));
+    if (!fetched.contains(app)) return app;
+  }
+  ++coverage.fallbacks;
+  std::uint32_t fetched_in_universe = 0;
+  for (std::uint32_t offset = 0; offset < universe; ++offset) {
+    if (fetched.contains(map_index(offset))) ++fetched_in_universe;
+  }
+  const std::uint32_t remaining = universe - fetched_in_universe;
+  std::uint32_t target = static_cast<std::uint32_t>(rng.below(remaining));
+  for (std::uint32_t offset = 0; offset < universe; ++offset) {
+    const std::uint32_t app = map_index(offset);
+    if (fetched.contains(app)) continue;
+    if (target == 0) return app;
+    --target;
+  }
+  return map_index(universe - 1);
+}
+
+class AmoSession {
+ public:
+  AmoSession(const stats::ZipfSampler& global, std::uint32_t app_count, Coverage& coverage)
+      : global_(global), app_count_(app_count), coverage_(coverage) {}
+
+  std::uint32_t next(util::Rng& rng) {
+    const std::uint32_t app = draw_unfetched(
+        rng, fetched_, app_count_,
+        [this](util::Rng& r) { return static_cast<std::uint32_t>(global_.sample_index(r)); },
+        [](std::uint32_t index) { return index; }, coverage_);
+    fetched_.insert(app);
+    return app;
+  }
+  [[nodiscard]] bool exhausted() const noexcept { return fetched_.size() >= app_count_; }
+
+ private:
+  const stats::ZipfSampler& global_;
+  std::uint32_t app_count_;
+  Coverage& coverage_;
+  LinearFetchedSet fetched_;
+};
+
+class ClusteringSession {
+ public:
+  ClusteringSession(const AppClusteringModel& model, Coverage& coverage)
+      : model_(model), coverage_(coverage) {}
+
+  std::uint32_t next(util::Rng& rng) {
+    const auto& layout = model_.layout();
+    const auto global_draw = [&] {
+      return draw_unfetched(
+          rng, fetched_, model_.params().app_count,
+          [this](util::Rng& r) {
+            return static_cast<std::uint32_t>(model_.global_sampler().sample_index(r));
+          },
+          [](std::uint32_t index) { return index; }, coverage_);
+    };
+    std::uint32_t app = 0;
+    if (fetched_.size() == 0 || !rng.chance(model_.params().p)) {
+      app = global_draw();
+    } else {
+      app = model_.params().app_count;
+      for (int anchor_attempt = 0; anchor_attempt < 8; ++anchor_attempt) {
+        const std::uint32_t anchor =
+            fetched_.fetched[static_cast<std::size_t>(rng.below(fetched_.size()))];
+        const auto& members = layout.members(layout.cluster_of(anchor));
+        if (fetched_in(members) >= members.size()) {
+          ++coverage_.saturated_anchors;
+          continue;
+        }
+        const auto& sampler =
+            model_.sampler_for_size(static_cast<std::uint32_t>(members.size()));
+        app = draw_unfetched(
+            rng, fetched_, static_cast<std::uint32_t>(members.size()),
+            [&sampler](util::Rng& r) {
+              return static_cast<std::uint32_t>(sampler.sample_index(r));
+            },
+            [&members](std::uint32_t index) { return members[index]; }, coverage_);
+        break;
+      }
+      if (app == model_.params().app_count) {
+        ++coverage_.global_after_anchors;
+        app = global_draw();
+      }
+    }
+    fetched_.insert(app);
+    return app;
+  }
+  [[nodiscard]] bool exhausted() const noexcept {
+    return fetched_.size() >= model_.params().app_count;
+  }
+
+ private:
+  [[nodiscard]] std::size_t fetched_in(const std::vector<std::uint32_t>& members) const {
+    std::size_t count = 0;
+    for (const auto app : fetched_.fetched) {
+      for (const auto member : members) {
+        if (member == app) {
+          ++count;
+          break;
+        }
+      }
+    }
+    return count;
+  }
+
+  const AppClusteringModel& model_;
+  Coverage& coverage_;
+  LinearFetchedSet fetched_;
+};
+
+}  // namespace reference
+
+/// Runs every user of `params` through `model`'s session and the reference
+/// session from one derived stream each, as DownloadModel::generate does,
+/// and requires identical sequences, exhaustion and RNG state afterwards.
+template <typename MakeReference>
+void expect_same_sessions(const DownloadModel& model, const ModelParams& params,
+                          std::uint64_t seed, reference::Coverage& coverage,
+                          MakeReference&& make_reference) {
+  for (std::uint64_t user = 0; user < params.user_count; ++user) {
+    util::Rng rng = util::rng::derive(seed, user);
+    const std::uint64_t count =
+        DownloadModel::realized_downloads(params.downloads_per_user, params.app_count, rng);
+    util::Rng reference_rng = rng;
+    const auto session = model.new_session();
+    auto expected = make_reference();
+    for (std::uint64_t k = 0; k < count; ++k) {
+      ASSERT_EQ(session->exhausted(), expected.exhausted()) << "user " << user << " draw " << k;
+      if (session->exhausted()) break;
+      ASSERT_EQ(session->next(rng), expected.next(reference_rng))
+          << "user " << user << " draw " << k;
+    }
+    ASSERT_EQ(session->exhausted(), expected.exhausted()) << "user " << user;
+    if (expected.exhausted()) ++coverage.exhausted_users;
+    ASSERT_EQ(rng(), reference_rng()) << "user " << user << ": draws consumed differ";
+  }
+}
+
+/// (A, d) pairs spanning d/A = 0.2 % (the paper's regime) to 150 %, past
+/// exhaustion, where most draws end in the uniform fallback.
+struct Shape {
+  std::uint32_t apps;
+  double downloads_per_user;
+};
+constexpr Shape kShapes[] = {{1000, 2.0}, {1000, 20.0}, {200, 20.0}, {200, 100.0},
+                             {200, 300.0}};
+constexpr double kZrGrid[] = {0.8, 1.8};
+constexpr double kPGrid[] = {0.8, 0.95};
+
+ModelParams differential_params(const Shape& shape, double zr, double p) {
+  ModelParams params;
+  params.app_count = shape.apps;
+  params.user_count = 24;
+  params.downloads_per_user = shape.downloads_per_user;
+  params.zr = zr;
+  params.zc = 1.4;
+  params.p = p;
+  params.cluster_count = 10;
+  return params;
+}
+
+TEST(SessionDifferential, ZipfAtMostOnceMatchesLinearScan) {
+  reference::Coverage coverage;
+  std::uint64_t seed = 100;
+  for (const Shape& shape : kShapes) {
+    for (const double zr : kZrGrid) {
+      const ModelParams params = differential_params(shape, zr, 0.0);
+      const ZipfAtMostOnceModel model(params);
+      const stats::ZipfSampler global(params.app_count, params.zr);
+      SCOPED_TRACE(testing::Message() << "A=" << shape.apps << " d="
+                                      << shape.downloads_per_user << " zr=" << zr);
+      expect_same_sessions(model, params, ++seed, coverage, [&] {
+        return reference::AmoSession(global, params.app_count, coverage);
+      });
+    }
+  }
+  EXPECT_GT(coverage.fallbacks, 0u);
+  EXPECT_GT(coverage.exhausted_users, 0u);
+}
+
+TEST(SessionDifferential, AppClusteringMatchesLinearScanOnEveryLayout) {
+  reference::Coverage coverage;
+  std::uint64_t seed = 200;
+  for (const Shape& shape : kShapes) {
+    // Round-robin (equal sizes), random (unequal, possibly empty clusters)
+    // and an explicit assignment mixing two-app clusters, which saturate
+    // after two fetches, with a few large ones.
+    util::Rng layout_rng(shape.apps + static_cast<std::uint64_t>(shape.downloads_per_user));
+    std::vector<std::uint32_t> assignment(shape.apps);
+    for (std::uint32_t app = 0; app < shape.apps; ++app) {
+      assignment[app] = app < 60 ? app / 2 : 30 + app % 4;
+    }
+    const ClusterLayout layouts[] = {
+        ClusterLayout::round_robin(shape.apps, 10),
+        ClusterLayout::random(shape.apps, 40, layout_rng),
+        ClusterLayout::from_assignment(std::move(assignment)),
+    };
+    for (const ClusterLayout& layout : layouts) {
+      for (const double zr : kZrGrid) {
+        for (const double p : kPGrid) {
+          const AppClusteringModel model(differential_params(shape, zr, p), layout);
+          const ModelParams& params = model.params();
+          SCOPED_TRACE(testing::Message()
+                       << "A=" << shape.apps << " d=" << shape.downloads_per_user
+                       << " zr=" << zr << " p=" << p << " C=" << layout.cluster_count());
+          expect_same_sessions(
+              model, params, ++seed, coverage,
+              [&] { return reference::ClusteringSession(model, coverage); });
+        }
+      }
+    }
+  }
+  EXPECT_GT(coverage.fallbacks, 0u);
+  EXPECT_GT(coverage.saturated_anchors, 0u);
+  EXPECT_GT(coverage.global_after_anchors, 0u);
+  EXPECT_GT(coverage.exhausted_users, 0u);
 }
 
 // ---- property sweep: analytic vs Monte Carlo across models --------------------------
