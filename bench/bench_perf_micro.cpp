@@ -2,7 +2,8 @@
 // simulation throughput — Zipf/alias sampling, model session steps, cache
 // operations, affinity computation, JSON handling, HTTP round-trips, and the
 // src/par scaling sweeps (stream generation, fit sweep, bootstrap at 1/2/4/8
-// threads). `--metrics-out=FILE` writes per-benchmark wall times and derived
+// threads), and the query kernels against a STREAM-style read-bandwidth
+// bound. `--metrics-out=FILE` writes per-benchmark wall times and derived
 // par_speedup gauges as a metrics JSON (results/BENCH_parallel.json is the
 // checked-in baseline).
 #include <benchmark/benchmark.h>
@@ -28,8 +29,11 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
+#include "query/engine.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/zipf.hpp"
+#include "util/format.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -253,6 +257,81 @@ void BM_CommentStreamsCsrView(benchmark::State& state) {
                         static_cast<double>(events);
 }
 BENCHMARK(BM_CommentStreamsCsrView);
+
+// ---- query kernels against the read bandwidth -------------------------------
+// Single-threaded QueryEngine::run over the serving benchmark's store shape
+// (Anzhi profile, app_scale 0.01, download_scale 5e-5: ~140k download rows,
+// ~600 apps, ~1100 users). Each kernel reports rows/s over the whole
+// download log; BM_ReadBandwidth streams the app and day columns the
+// category and day-range kernels must read at least once (8 B/row), so
+// kernel rows/s over its rows/s is the kernel's share of achievable read
+// bandwidth.
+
+const market::AppStore& query_bench_store() {
+  static const auto generated = [] {
+    synth::GeneratorConfig config;
+    config.app_scale = 0.01;
+    config.download_scale = 5e-5;
+    config.comments = true;
+    return synth::generate(synth::anzhi(), config);
+  }();
+  return *generated.store;
+}
+
+void BM_QueryKernel(benchmark::State& state, std::string_view filter) {
+  const market::AppStore& store = query_bench_store();
+  query::QueryOptions options;
+  options.threads = 1;
+  const query::QueryEngine engine(store, options);
+  const std::uint64_t rows = store.download_log().size();
+  market::Day last_day = 0;
+  for (const std::int32_t day : store.download_log().day()) last_day = std::max(last_day, day);
+  const auto categories = static_cast<std::uint64_t>(store.categories().size());
+
+  // A pool of filters rotated per iteration, so no run rides the previous
+  // one's cache state; each is as selective as perfbench's query mix.
+  std::vector<query::QuerySpec> specs(64);
+  util::Rng rng(17);
+  for (query::QuerySpec& spec : specs) {
+    std::string text;
+    if (filter == "user") {
+      text = util::format("user == {}", rng.below(store.user_count()));
+    } else if (filter == "category") {
+      text = util::format("category == {}", rng.below(categories));
+    } else {
+      const auto span = static_cast<std::uint64_t>(last_day) + 1;
+      const std::uint64_t lo = rng.below(span);
+      text = util::format("day >= {} and day <= {}", lo, lo + rng.below(span - lo));
+    }
+    spec.filter = query::parse_filter(text);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run(specs[next], last_day));
+    next = (next + 1) % specs.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
+}
+BENCHMARK_CAPTURE(BM_QueryKernel, user, "user")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_QueryKernel, category, "category")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_QueryKernel, day_range, "day_range")->Unit(benchmark::kMicrosecond);
+
+void BM_ReadBandwidth(benchmark::State& state) {
+  const events::FrontierSnapshot log = query_bench_store().download_log();
+  const std::span<const std::uint32_t> apps = log.app();
+  const std::span<const std::int32_t> days = log.day();
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      sum += apps[i] + static_cast<std::uint32_t>(days[i]);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  const auto rows = static_cast<std::int64_t>(log.size());
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.SetBytesProcessed(state.iterations() * rows * 8);
+}
+BENCHMARK(BM_ReadBandwidth)->Unit(benchmark::kMicrosecond);
 
 // ---- src/par scaling sweeps ------------------------------------------------
 // Each bench takes the worker-thread count as its argument. Outputs are

@@ -174,7 +174,6 @@ std::unique_ptr<AppStore> load_store(const std::filesystem::path& directory) {
         static_cast<std::uint8_t>(parse_field_u64(row[3], "rating")));
   }
   store->check_invariants();
-  store->build_stream_index();
   return store;
 }
 

@@ -220,10 +220,6 @@ std::uint64_t AppStore::total_downloads() const noexcept {
   return counter_read(total_downloads_);
 }
 
-void AppStore::build_stream_index(const events::BuildOptions& /*options*/) {
-  // The tiered index is maintained by every append; nothing to build.
-}
-
 std::vector<std::uint32_t> AppStore::apps_per_category() const {
   std::vector<std::uint32_t> counts(categories_.size(), 0);
   for (const auto& app : apps_) ++counts[app.category.index()];

@@ -164,9 +164,7 @@ class AppStore {
     return download_live_->frontier() + comment_live_->frontier();
   }
 
-  /// Backward-compatible no-op: the live store indexes as it ingests. Kept
-  /// so batch-era call sites (load_store, generators, tests) stay valid.
-  void build_stream_index(const events::BuildOptions& options = {});
+  /// Always true: the live store indexes as it ingests.
   [[nodiscard]] bool stream_index_built() const noexcept { return true; }
 
   /// Chronological per-user views over the current frontier.

@@ -9,7 +9,6 @@
 #include "affinity/metric.hpp"
 #include "affinity/strings.hpp"
 #include "obs/trace.hpp"
-#include "par/parallel.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/pareto.hpp"
 #include "util/format.hpp"
@@ -145,18 +144,21 @@ Expr QueryEngine::resolve(const Expr& expr) const {
   return out;
 }
 
-QueryResult QueryEngine::run(const QuerySpec& spec, market::Day day) const {
+obs::Histogram* QueryEngine::admit(const QuerySpec& spec) const {
   validate(spec, options_);
   const auto kind_index = static_cast<std::size_t>(spec.kind);
-  if (!requests_by_kind_.empty()) requests_by_kind_[kind_index]->inc();
-  obs::ScopedTimer timer(latency_by_kind_.empty() ? nullptr : latency_by_kind_[kind_index]);
+  if (requests_by_kind_.empty()) return nullptr;
+  requests_by_kind_[kind_index]->inc();
+  return latency_by_kind_[kind_index];
+}
 
-  // One frontier snapshot per run: the plan, the scans, and the aggregation
-  // all read the same published prefix, so a concurrently ingesting crawler
-  // never tears a result.
-  const bool wants_comments = spec.kind == AggregateKind::kCategoryAffinity;
-  const events::FrontierSnapshot log =
-      wants_comments ? store_->comment_log() : store_->download_log();
+QueryEngine::Compiled QueryEngine::compile(const QuerySpec& spec, market::Day day) const {
+  // One frontier snapshot per query: the plan, the block scans and the
+  // aggregation all read the same published prefix, so a concurrently
+  // ingesting crawler never tears a result.
+  const events::FrontierSnapshot log = spec.kind == AggregateKind::kCategoryAffinity
+                                           ? store_->comment_log()
+                                           : store_->download_log();
   const BoundLog bound = bind(log);
 
   PlanOptions plan_options;
@@ -165,73 +167,53 @@ QueryResult QueryEngine::run(const QuerySpec& spec, market::Day day) const {
   plan_options.scan_block = options_.scan_block;
   plan_options.threads = options_.threads;
 
-  const Plan plan = spec.filter.has_value()
-                        ? plan_filter(resolve(*spec.filter), bound, plan_options)
-                        : plan_all();
+  Plan plan = spec.filter.has_value()
+                  ? plan_filter(resolve(*spec.filter), bound, plan_options)
+                  : plan_all();
   if (plan_index_scans_ != nullptr) {
     plan_index_scans_->inc(plan.index_scans);
     plan_column_scans_->inc(plan.column_scans);
     plan_residual_filters_->inc(plan.residual_filters);
   }
+  Executor executor(plan, bound, plan_options, day);
+  return Compiled{log, std::move(plan), std::move(executor)};
+}
 
-  const RowSet rows = execute(plan, bound, plan_options);
+QueryResult QueryEngine::run(const QuerySpec& spec, market::Day day) const {
+  const obs::ScopedTimer timer(admit(spec));
+  const Compiled query = compile(spec, day);
 
   QueryResult result;
   result.kind = spec.kind;
-  result.index_scans = plan.index_scans;
-  result.column_scans = plan.column_scans;
-  result.residual_filters = plan.residual_filters;
-  result.rows_total = log.size();
-  if (wants_comments) {
-    aggregate_affinity(log, rows, spec, day, result);
+  result.index_scans = query.plan.index_scans;
+  result.column_scans = query.plan.column_scans;
+  result.residual_filters = query.plan.residual_filters;
+  result.rows_total = query.log.size();
+  if (spec.kind == AggregateKind::kCategoryAffinity) {
+    const std::vector<AffinityUserSample> samples =
+        collect_affinity_samples(query, spec, result.rows_selected);
+    finalize_affinity(spec, samples, random_walk(spec), result);
   } else {
-    aggregate_downloads(log, rows, spec, day, result);
+    finalize_downloads(spec, count_downloads(query), result);
   }
   return result;
 }
 
 PartialAggregate QueryEngine::run_partial(const QuerySpec& spec, market::Day day) const {
-  validate(spec, options_);
-  const auto kind_index = static_cast<std::size_t>(spec.kind);
-  if (!requests_by_kind_.empty()) requests_by_kind_[kind_index]->inc();
-  obs::ScopedTimer timer(latency_by_kind_.empty() ? nullptr : latency_by_kind_[kind_index]);
-
-  const bool wants_comments = spec.kind == AggregateKind::kCategoryAffinity;
-  const events::FrontierSnapshot log =
-      wants_comments ? store_->comment_log() : store_->download_log();
-  const BoundLog bound = bind(log);
-
-  PlanOptions plan_options;
-  plan_options.allow_index_scan = options_.allow_index_scan;
-  plan_options.index_user_fraction = options_.index_user_fraction;
-  plan_options.scan_block = options_.scan_block;
-  plan_options.threads = options_.threads;
-
-  const Plan plan = spec.filter.has_value()
-                        ? plan_filter(resolve(*spec.filter), bound, plan_options)
-                        : plan_all();
-  if (plan_index_scans_ != nullptr) {
-    plan_index_scans_->inc(plan.index_scans);
-    plan_column_scans_->inc(plan.column_scans);
-    plan_residual_filters_->inc(plan.residual_filters);
-  }
-
-  const RowSet rows = execute(plan, bound, plan_options);
+  const obs::ScopedTimer timer(admit(spec));
+  const Compiled query = compile(spec, day);
 
   PartialAggregate partial;
   partial.kind = spec.kind;
-  partial.index_scans = plan.index_scans;
-  partial.column_scans = plan.column_scans;
-  partial.residual_filters = plan.residual_filters;
-  partial.rows_total = log.size();
-  if (wants_comments) {
-    partial.samples = collect_affinity_samples(log, rows, spec, day, partial.rows_selected);
-    partial.random_walk.reserve(spec.depths.size());
-    for (const std::size_t depth : spec.depths) {
-      partial.random_walk.push_back(affinity::random_walk_affinity(category_sizes_, depth));
-    }
+  partial.index_scans = query.plan.index_scans;
+  partial.column_scans = query.plan.column_scans;
+  partial.residual_filters = query.plan.residual_filters;
+  partial.rows_total = query.log.size();
+  if (spec.kind == AggregateKind::kCategoryAffinity) {
+    partial.samples = collect_affinity_samples(query, spec, partial.rows_selected);
+    partial.random_walk = random_walk(spec);
   } else {
-    const std::vector<std::uint64_t> counts = count_downloads(log, rows, day);
+    const std::vector<std::uint64_t> counts = count_downloads(query);
     partial.app_count = counts.size();
     for (std::size_t app = 0; app < counts.size(); ++app) {
       if (counts[app] > 0) {
@@ -243,52 +225,33 @@ PartialAggregate QueryEngine::run_partial(const QuerySpec& spec, market::Day day
   return partial;
 }
 
-std::vector<std::uint64_t> QueryEngine::count_downloads(const events::FrontierSnapshot& log,
-                                                        const RowSet& rows,
-                                                        market::Day day) const {
-  const std::span<const std::uint32_t> apps = log.app();
-  const std::span<const std::int32_t> days = log.day();
+std::vector<std::uint64_t> QueryEngine::count_downloads(const Compiled& query) const {
+  const std::uint32_t* apps = query.log.app().data();
   const std::size_t app_count = store_->apps().size();
 
-  // Per-app download counts within the day bound. The all-rows path reduces
-  // over fixed-size blocks; per-app integer adds are exact and elementwise,
-  // so the counts are identical at every thread count.
-  std::vector<std::uint64_t> counts;
-  if (rows.all) {
-    const std::uint64_t total = log.size();
-    const std::uint64_t block = std::max<std::uint64_t>(1, options_.scan_block);
-    const std::uint64_t blocks = total == 0 ? 0 : (total + block - 1) / block;
-    par::Options par_options;
-    par_options.threads = options_.threads;
-    counts = par::parallel_reduce<std::vector<std::uint64_t>>(
-        blocks, std::vector<std::uint64_t>(app_count, 0), par_options,
-        [&](std::uint64_t b) {
-          std::vector<std::uint64_t> partial(app_count, 0);
-          const std::uint64_t begin = b * block;
-          const std::uint64_t end = std::min(total, begin + block);
-          for (std::uint64_t i = begin; i < end; ++i) {
-            if (row_day(days, i) <= day) ++partial[apps[i]];
-          }
-          return partial;
-        },
-        [](std::vector<std::uint64_t> acc, const std::vector<std::uint64_t>& part) {
-          for (std::size_t i = 0; i < part.size(); ++i) acc[i] += part[i];
-          return acc;
-        });
-    if (counts.empty()) counts.assign(app_count, 0);
-  } else {
-    counts.assign(app_count, 0);
-    for (const std::uint32_t row : rows.rows) {
-      if (row_day(days, row) <= day) ++counts[apps[row]];
-    }
+  // Per-app counts straight from the selected bits (filter and day bound
+  // already applied), one accumulator per shard of blocks, summed in shard
+  // order. Integer adds are exact, so the counts are identical at every
+  // thread count.
+  std::vector<std::vector<std::uint64_t>> partials = query.executor.fold_blocks(
+      std::vector<std::uint64_t>(app_count, 0),
+      [apps](std::vector<std::uint64_t>& counts, const BlockBits& bits) {
+        bits.for_each_row([&](std::uint64_t row) { ++counts[apps[row]]; });
+      });
+  std::vector<std::uint64_t> counts = std::move(partials.front());
+  for (std::size_t shard = 1; shard < partials.size(); ++shard) {
+    for (std::size_t app = 0; app < app_count; ++app) counts[app] += partials[shard][app];
   }
   return counts;
 }
 
-void QueryEngine::aggregate_downloads(const events::FrontierSnapshot& log,
-                                      const RowSet& rows, const QuerySpec& spec,
-                                      market::Day day, QueryResult& result) const {
-  finalize_downloads(spec, count_downloads(log, rows, day), result);
+std::vector<double> QueryEngine::random_walk(const QuerySpec& spec) const {
+  std::vector<double> baseline;
+  baseline.reserve(spec.depths.size());
+  for (const std::size_t depth : spec.depths) {
+    baseline.push_back(affinity::random_walk_affinity(category_sizes_, depth));
+  }
+  return baseline;
 }
 
 void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> counts,
@@ -338,13 +301,12 @@ void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> co
 }
 
 std::vector<AffinityUserSample> QueryEngine::collect_affinity_samples(
-    const events::FrontierSnapshot& log, const RowSet& rows, const QuerySpec& spec,
-    market::Day day, std::uint64_t& rows_selected) const {
-  const std::span<const std::uint32_t> users = log.user();
-  const std::span<const std::uint32_t> apps = log.app();
-  const std::span<const std::int32_t> days = log.day();
-  const std::span<const std::uint32_t> ordinals = log.ordinal();
-  const std::span<const std::uint8_t> ratings = log.rating();
+    const Compiled& query, const QuerySpec& spec, std::uint64_t& rows_selected) const {
+  const std::span<const std::uint32_t> users = query.log.user();
+  const std::span<const std::uint32_t> apps = query.log.app();
+  const std::span<const std::int32_t> days = query.log.day();
+  const std::span<const std::uint32_t> ordinals = query.log.ordinal();
+  const std::span<const std::uint8_t> ratings = query.log.rating();
 
   // Selected rows regrouped into per-user chronological streams. Sorting by
   // (user, day, ordinal, row) reproduces exactly the CSR index order — ties
@@ -356,17 +318,20 @@ std::vector<AffinityUserSample> QueryEngine::collect_affinity_samples(
     std::uint32_t ordinal;
     std::uint32_t row;
   };
+  std::vector<std::vector<Key>> parts = query.executor.fold_blocks(
+      std::vector<Key>{}, [&](std::vector<Key>& keys, const BlockBits& bits) {
+        bits.for_each_row([&](std::uint64_t row) {
+          keys.push_back({users[row], row_day(days, row), ordinals.empty() ? 0u : ordinals[row],
+                          static_cast<std::uint32_t>(row)});
+        });
+      });
   std::vector<Key> selected;
-  const auto consider = [&](std::uint64_t row) {
-    if (row_day(days, row) > day) return;
-    selected.push_back({users[row], row_day(days, row),
-                        ordinals.empty() ? 0u : ordinals[row],
-                        static_cast<std::uint32_t>(row)});
-  };
-  if (rows.all) {
-    for (std::uint64_t row = 0; row < log.size(); ++row) consider(row);
-  } else {
-    for (const std::uint32_t row : rows.rows) consider(row);
+  for (std::vector<Key>& part : parts) {
+    if (selected.empty()) {
+      selected = std::move(part);
+    } else {
+      selected.insert(selected.end(), part.begin(), part.end());
+    }
   }
   rows_selected = selected.size();
 
@@ -409,19 +374,6 @@ std::vector<AffinityUserSample> QueryEngine::collect_affinity_samples(
     begin = end;
   }
   return samples;
-}
-
-void QueryEngine::aggregate_affinity(const events::FrontierSnapshot& log,
-                                     const RowSet& rows, const QuerySpec& spec,
-                                     market::Day day, QueryResult& result) const {
-  const std::vector<AffinityUserSample> samples =
-      collect_affinity_samples(log, rows, spec, day, result.rows_selected);
-  std::vector<double> random_walk;
-  random_walk.reserve(spec.depths.size());
-  for (const std::size_t depth : spec.depths) {
-    random_walk.push_back(affinity::random_walk_affinity(category_sizes_, depth));
-  }
-  finalize_affinity(spec, samples, random_walk, result);
 }
 
 void finalize_affinity(const QuerySpec& spec, const std::vector<AffinityUserSample>& samples,

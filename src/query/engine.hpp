@@ -12,11 +12,12 @@
 //
 // Every run compiles the (optional) filter into a plan over the relevant
 // columnar log — the download log for the download aggregates, the comment
-// log for affinity — executes it, and aggregates the selected rows up to the
-// caller's day bound. The day bound is applied at aggregation time rather
-// than planned as a clause so the plan's scan counters reflect only the
-// user's filter. Results are a pure function of (store contents, spec, day):
-// thread count changes wall time only. See docs/query.md.
+// log for affinity — and runs it through the block-bitmap executor with the
+// caller's day bound ANDed into every block; the aggregates read the set
+// bits directly. The day bound is not planned as a clause, so the plan's
+// scan counters reflect only the user's filter. Results are a pure function
+// of (store contents, spec, day): thread count changes wall time only. See
+// docs/query.md.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +68,7 @@ struct QuerySpec {
 /// Engine-wide limits and planner knobs; the service exposes this as part of
 /// ServicePolicy (the PR-1 Options-struct convention).
 struct QueryOptions {
-  std::size_t threads = 0;           ///< column-scan workers; 0 = hardware
+  std::size_t threads = 0;           ///< block-scan workers; 0 = hardware
   std::uint64_t scan_block = 16384;  ///< rows per scan block (see PlanOptions)
   bool allow_index_scan = true;
   double index_user_fraction = 1.0 / 64.0;
@@ -197,21 +198,28 @@ class QueryEngine {
   /// throws QueryError("unknown_category") for names the store lacks.
   [[nodiscard]] Expr resolve(const Expr& expr) const;
 
-  void aggregate_downloads(const events::FrontierSnapshot& log, const RowSet& rows,
-                           const QuerySpec& spec, market::Day day,
-                           QueryResult& result) const;
-  void aggregate_affinity(const events::FrontierSnapshot& log, const RowSet& rows,
-                          const QuerySpec& spec, market::Day day,
-                          QueryResult& result) const;
+  /// One query's filter, planned and compiled over the log its kind reads.
+  struct Compiled {
+    events::FrontierSnapshot log;
+    Plan plan;
+    Executor executor;
+  };
+
+  /// Validates `spec` and counts it; returns its latency histogram (null
+  /// without a registry).
+  [[nodiscard]] obs::Histogram* admit(const QuerySpec& spec) const;
+  /// Snapshots the kind's log, plans the filter (recording plan metrics) and
+  /// compiles it with the day bound.
+  [[nodiscard]] Compiled compile(const QuerySpec& spec, market::Day day) const;
 
   /// Per-app download counts (dense, day-bounded) — the shared core of the
   /// download aggregates and their partial form.
-  [[nodiscard]] std::vector<std::uint64_t> count_downloads(
-      const events::FrontierSnapshot& log, const RowSet& rows, market::Day day) const;
+  [[nodiscard]] std::vector<std::uint64_t> count_downloads(const Compiled& query) const;
   /// Per-user affinity samples in ascending user order; sets rows_selected.
   [[nodiscard]] std::vector<AffinityUserSample> collect_affinity_samples(
-      const events::FrontierSnapshot& log, const RowSet& rows, const QuerySpec& spec,
-      market::Day day, std::uint64_t& rows_selected) const;
+      const Compiled& query, const QuerySpec& spec, std::uint64_t& rows_selected) const;
+  /// Store-wide random-walk affinity baseline, aligned with spec.depths.
+  [[nodiscard]] std::vector<double> random_walk(const QuerySpec& spec) const;
 
   const market::AppStore* store_;
   QueryOptions options_;

@@ -511,10 +511,6 @@ GeneratedStore generate(const StoreProfile& profile, const GeneratorConfig& conf
     }
   }
 
-  // The live store indexes as it ingests; nothing left to build. Kept as a
-  // marker that the store is fully populated from here on.
-  store.build_stream_index();
-
   return out;
 }
 

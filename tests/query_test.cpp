@@ -1,14 +1,21 @@
-// Tests for the online analytics query engine (ISSUE 6): the predicate
-// language, the planner's index-scan-vs-column-scan choice, thread-count
+// Tests for the online analytics query engine: the predicate language, the
+// planner's index-scan-vs-column-scan choice, the block-bitmap executor
+// against a row-by-row reference (the differential suite), thread-count
 // invariance of execution, the /api/v1/query wire forms, the versioned
 // routing table with its deprecation aliases, the uniform error envelope,
 // and the load generator's query mix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "affinity/metric.hpp"
+#include "affinity/strings.hpp"
 #include "crawler/json.hpp"
 #include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
@@ -22,12 +29,15 @@
 #include "stats/pareto.hpp"
 #include "synth/generator.hpp"
 #include "util/format.hpp"
+#include "util/rng.hpp"
 
 namespace appstore {
 namespace {
 
 using crawlersim::AppstoreService;
 using crawlersim::ServicePolicy;
+
+constexpr std::int32_t kNoDayBound = std::numeric_limits<std::int32_t>::max();
 
 // ---- expression grammar ----------------------------------------------------------
 
@@ -97,15 +107,25 @@ TEST(QueryExpression, DepthAndLengthLimits) {
   EXPECT_THROW((void)query::parse_filter(long_filter), query::QueryError);
 }
 
-// ---- sorted-set combination helpers ----------------------------------------------
+// ---- executor helpers --------------------------------------------------------------
 
-TEST(QueryPlan, SortedSetOperations) {
-  const std::vector<std::uint32_t> a = {1, 3, 5, 7};
-  const std::vector<std::uint32_t> b = {3, 4, 5, 9};
-  EXPECT_EQ(query::intersect_sorted(a, b), (std::vector<std::uint32_t>{3, 5}));
-  EXPECT_EQ(query::union_sorted(a, b), (std::vector<std::uint32_t>{1, 3, 4, 5, 7, 9}));
-  EXPECT_TRUE(query::intersect_sorted(a, {}).empty());
-  EXPECT_EQ(query::union_sorted({}, b), b);
+/// Every row the executor selects for `plan` (day bound `day_max`), in the
+/// order the blocks fold them: ascending when the executor is correct.
+std::vector<std::uint32_t> selected_rows(const query::Plan& plan, const query::BoundLog& bound,
+                                         const query::PlanOptions& options,
+                                         std::int32_t day_max = kNoDayBound) {
+  const query::Executor executor(plan, bound, options, day_max);
+  const std::vector<std::vector<std::uint32_t>> parts = executor.fold_blocks(
+      std::vector<std::uint32_t>{},
+      [](std::vector<std::uint32_t>& rows, const query::BlockBits& bits) {
+        bits.for_each_row(
+            [&](std::uint64_t row) { rows.push_back(static_cast<std::uint32_t>(row)); });
+      });
+  std::vector<std::uint32_t> rows;
+  for (const std::vector<std::uint32_t>& part : parts) {
+    rows.insert(rows.end(), part.begin(), part.end());
+  }
+  return rows;
 }
 
 // ---- planner choice on a hand-built store ----------------------------------------
@@ -128,7 +148,6 @@ class PlannerFixture : public ::testing::Test {
         store_->record_download(market::UserId{user}, market::AppId{user % 2}, day);
       }
     }
-    store_->build_stream_index();
     app_category_ = {0, 1};
     app_price_ = {0.0, 1.99};
   }
@@ -144,21 +163,28 @@ class PlannerFixture : public ::testing::Test {
     return bound;
   }
 
-  /// Executes `text` both as planned and with index scans disabled; the two
-  /// row sets must be identical (and are returned for further checks).
+  /// Executes `text` both as planned and with index scans disabled, each at
+  /// 1 and 3 threads over 7-row blocks; the selections must be identical
+  /// (and are returned for further checks).
   [[nodiscard]] std::vector<std::uint32_t> execute_both_ways(std::string_view text) const {
     const query::Expr expr = query::parse_filter(text);
-    const query::PlanOptions planned_options;
-    query::PlanOptions naive_options;
+    query::PlanOptions planned_options;
+    planned_options.threads = 1;
+    query::PlanOptions naive_options = planned_options;
     naive_options.allow_index_scan = false;
     const query::BoundLog log = bound();
-    const query::RowSet planned =
-        query::execute(query::plan_filter(expr, log, planned_options), log, planned_options);
-    const query::RowSet naive =
-        query::execute(query::plan_filter(expr, log, naive_options), log, naive_options);
-    EXPECT_EQ(planned.all, naive.all) << text;
-    EXPECT_EQ(planned.rows, naive.rows) << text;
-    return planned.rows;
+    const std::vector<std::uint32_t> planned =
+        selected_rows(query::plan_filter(expr, log, planned_options), log, planned_options);
+    const std::vector<std::uint32_t> naive =
+        selected_rows(query::plan_filter(expr, log, naive_options), log, naive_options);
+    EXPECT_EQ(planned, naive) << text;
+    for (query::PlanOptions options : {planned_options, naive_options}) {
+      options.threads = 3;
+      options.scan_block = 7;
+      EXPECT_EQ(selected_rows(query::plan_filter(expr, log, options), log, options), planned)
+          << text;
+    }
+    return planned;
   }
 
   static constexpr std::uint32_t kUsers = 100;
@@ -238,14 +264,12 @@ TEST_F(PlannerFixture, StoreClausesFoldAtPlanTime) {
   EXPECT_EQ(match.root.kind, query::NodeKind::kAll);
   EXPECT_EQ(match.index_scans + match.column_scans, 0u);
   const query::BoundLog log = bound();
-  EXPECT_TRUE(query::execute(match, log, {}).all);
+  EXPECT_EQ(selected_rows(match, log, {}).size(), log.log.size());
 
   const query::Plan miss =
       query::plan_filter(query::parse_filter("store != 'Tiny'"), bound(), {});
   EXPECT_EQ(miss.root.kind, query::NodeKind::kNone);
-  const query::RowSet none = query::execute(miss, log, {});
-  EXPECT_FALSE(none.all);
-  EXPECT_TRUE(none.rows.empty());
+  EXPECT_TRUE(selected_rows(miss, log, {}).empty());
 
   // Simplification propagates: or-with-all is all, and-with-none is none.
   EXPECT_EQ(query::plan_filter(query::parse_filter("user == 5 or store == 'Tiny'"),
@@ -258,7 +282,7 @@ TEST_F(PlannerFixture, StoreClausesFoldAtPlanTime) {
             query::NodeKind::kNone);
 }
 
-TEST_F(PlannerFixture, OrUnionsSortedRowSets) {
+TEST_F(PlannerFixture, OrUnionsRowSelections) {
   const std::vector<std::uint32_t> rows = execute_both_ways("user == 5 or user == 7");
   ASSERT_EQ(rows.size(), 2u * kDays);
   EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
@@ -277,6 +301,21 @@ TEST_F(PlannerFixture, AppJoinedFieldsScanColumns) {
   EXPECT_EQ(rows.size(), (kUsers / 2) * kDays);  // odd users -> app 1 (Tools)
   // An out-of-range category id folds to an empty selection, not an error.
   EXPECT_TRUE(execute_both_ways("category == 9").empty());
+}
+
+TEST_F(PlannerFixture, DayBoundIsOneMoreConjunct) {
+  // Every row of day d lies in [d * kUsers, (d + 1) * kUsers): the bound keeps
+  // exactly the rows of days 0..4, and a bound below day 0 keeps none.
+  const query::BoundLog log = bound();
+  query::PlanOptions options;
+  options.scan_block = 100;  // ragged tail words at every block end
+  const query::Plan odd = query::plan_filter(query::parse_filter("category == 1"), log, options);
+  const std::vector<std::uint32_t> rows = selected_rows(odd, log, options, 4);
+  ASSERT_EQ(rows.size(), (kUsers / 2) * 5);
+  EXPECT_LT(rows.back(), 5 * kUsers);
+  EXPECT_TRUE(selected_rows(odd, log, options, -1).empty());
+  EXPECT_EQ(selected_rows(query::plan_all(), log, options, 0).size(), kUsers);
+  EXPECT_EQ(selected_rows(query::plan_all(), log, options).size(), kUsers * kDays);
 }
 
 // ---- engine over a synthetic store -----------------------------------------------
@@ -455,6 +494,391 @@ TEST_F(EngineFixture, MetricsRecordRequestsAndPlanChoices) {
   EXPECT_EQ(snapshot.find_counter("query_plan_total", "index_scan")->value, 1u);
   EXPECT_EQ(snapshot.find_counter("query_plan_total", "column_scan")->value, 1u);
   EXPECT_EQ(snapshot.find_counter("query_requests_total", "pareto_share")->value, 1u);
+}
+
+// ---- differential suite: the bitmap executor vs a row-by-row reference -----------
+
+/// The row-by-row reference: the filter expression evaluated directly on
+/// every row with double compares, and every aggregate rebuilt from the
+/// matching rows (affinity from the CSR per-user streams, not from the
+/// engine's sort). Kept only here, as the oracle the executor must match.
+class Reference {
+ public:
+  Reference(const market::AppStore& store, const events::FrontierSnapshot& log)
+      : store_(store), log_(log) {
+    for (const market::App& app : store.apps()) {
+      app_category_.push_back(static_cast<std::uint32_t>(app.category.index()));
+      app_price_.push_back(store.average_price_dollars(app.id));
+    }
+  }
+
+  [[nodiscard]] bool matches(const query::Expr& expr, std::uint64_t row) const {
+    switch (expr.kind) {
+      case query::Expr::Kind::kAnd:
+        return std::all_of(expr.children.begin(), expr.children.end(),
+                           [&](const query::Expr& child) { return matches(child, row); });
+      case query::Expr::Kind::kOr:
+        return std::any_of(expr.children.begin(), expr.children.end(),
+                           [&](const query::Expr& child) { return matches(child, row); });
+      case query::Expr::Kind::kComparison:
+        break;
+    }
+    const query::Comparison& clause = expr.comparison;
+    const std::uint32_t app = log_.app()[row];
+    if (clause.is_text) {
+      const std::string& actual = clause.field == query::Field::kStore
+                                      ? store_.name()
+                                      : store_.categories()[app_category_[app]].name;
+      return (actual == clause.text) == (clause.op == query::CompareOp::kEq);
+    }
+    double value = 0.0;
+    switch (clause.field) {
+      case query::Field::kDay: value = day(row); break;
+      case query::Field::kUser: value = log_.user()[row]; break;
+      case query::Field::kApp: value = app; break;
+      case query::Field::kCategory: value = app_category_[app]; break;
+      case query::Field::kPrice: value = app_price_[app]; break;
+      case query::Field::kStore: return false;
+    }
+    switch (clause.op) {
+      case query::CompareOp::kEq: return value == clause.number;
+      case query::CompareOp::kNe: return value != clause.number;
+      case query::CompareOp::kLt: return value < clause.number;
+      case query::CompareOp::kLe: return value <= clause.number;
+      case query::CompareOp::kGt: return value > clause.number;
+      case query::CompareOp::kGe: return value >= clause.number;
+    }
+    return false;
+  }
+
+  [[nodiscard]] bool selected(const query::QuerySpec& spec, market::Day day_max,
+                              std::uint64_t row) const {
+    return day(row) <= day_max && (!spec.filter.has_value() || matches(*spec.filter, row));
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> counts(const query::QuerySpec& spec,
+                                                  market::Day day_max) const {
+    std::vector<std::uint64_t> counts(store_.apps().size(), 0);
+    for (std::uint64_t row = 0; row < log_.size(); ++row) {
+      if (selected(spec, day_max, row)) ++counts[log_.app()[row]];
+    }
+    return counts;
+  }
+
+  [[nodiscard]] std::vector<query::AffinityUserSample> samples(const query::QuerySpec& spec,
+                                                               market::Day day_max,
+                                                               std::uint64_t& rows) const {
+    std::vector<query::AffinityUserSample> samples;
+    rows = 0;
+    for (std::uint32_t user = 0; user < store_.user_count(); ++user) {
+      const events::LiveStreamView stream = log_.stream(user);
+      std::vector<std::uint32_t> apps;
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        const std::uint32_t row = stream.event_index(i);
+        if (!selected(spec, day_max, row)) continue;
+        ++rows;
+        if (log_.rating()[row] != 0) apps.push_back(log_.app()[row]);
+      }
+      if (apps.empty()) continue;
+      const std::vector<std::uint32_t> categories =
+          affinity::category_string(affinity::suppress_duplicates(apps), app_category_);
+      query::AffinityUserSample sample;
+      sample.user = user;
+      sample.comments = categories.size();
+      for (const std::size_t depth : spec.depths) {
+        sample.values.push_back(affinity::affinity(categories, depth)
+                                    .value_or(std::numeric_limits<double>::quiet_NaN()));
+      }
+      samples.push_back(std::move(sample));
+    }
+    return samples;
+  }
+
+  [[nodiscard]] std::vector<double> random_walk(const query::QuerySpec& spec) const {
+    const std::vector<std::uint32_t> sizes = store_.apps_per_category();
+    const std::vector<std::uint64_t> wide(sizes.begin(), sizes.end());
+    std::vector<double> baseline;
+    for (const std::size_t depth : spec.depths) {
+      baseline.push_back(affinity::random_walk_affinity(wide, depth));
+    }
+    return baseline;
+  }
+
+  /// Plan statistics of the engine's own planner on the same options, with
+  /// category names resolved to ids first (as the engine does).
+  [[nodiscard]] query::Plan plan(const query::QuerySpec& spec,
+                                 const query::QueryOptions& options) const {
+    if (!spec.filter.has_value()) return query::plan_all();
+    query::BoundLog bound;
+    bound.log = log_;
+    bound.app_category = app_category_;
+    bound.app_price = app_price_;
+    bound.store_name = store_.name();
+    bound.user_count = store_.user_count();
+    bound.category_count = static_cast<std::uint32_t>(store_.categories().size());
+    query::PlanOptions plan_options;
+    plan_options.allow_index_scan = options.allow_index_scan;
+    plan_options.index_user_fraction = options.index_user_fraction;
+    return query::plan_filter(resolve(*spec.filter), bound, plan_options);
+  }
+
+ private:
+  [[nodiscard]] double day(std::uint64_t row) const {
+    return log_.day().empty() ? 0.0 : log_.day()[row];
+  }
+
+  [[nodiscard]] query::Expr resolve(query::Expr expr) const {
+    for (query::Expr& child : expr.children) child = resolve(child);
+    query::Comparison& clause = expr.comparison;
+    if (clause.field == query::Field::kCategory && clause.is_text) {
+      for (const market::Category& category : store_.categories()) {
+        if (category.name == clause.text) clause.number = category.id.index();
+      }
+      clause.is_text = false;
+    }
+    return expr;
+  }
+
+  const market::AppStore& store_;
+  events::FrontierSnapshot log_;
+  std::vector<std::uint32_t> app_category_;
+  std::vector<double> app_price_;
+};
+
+/// Seeded random filters over every field, all six operators, store and
+/// category-name clauses, and and/or nesting to depth 3. Literals obey the
+/// parser's typing rules (integral days, non-negative integral ids) and
+/// cluster near the ends of each domain, so narrow user ranges (index
+/// scans) and empty and whole-domain ranges all occur.
+class FilterGenerator {
+ public:
+  FilterGenerator(const market::AppStore& store, market::Day last_day)
+      : store_(store), last_day_(last_day) {
+    for (const market::App& app : store.apps()) {
+      prices_.push_back(store.average_price_dollars(app.id));
+    }
+  }
+
+  [[nodiscard]] query::Expr expr(util::Rng& rng, int depth = 1) const {
+    if (depth >= 3 || rng.chance(0.4)) return query::Expr::leaf(clause(rng));
+    query::Expr node;
+    node.kind = rng.chance(0.5) ? query::Expr::Kind::kAnd : query::Expr::Kind::kOr;
+    const std::uint64_t children = 2 + rng.below(2);
+    for (std::uint64_t i = 0; i < children; ++i) node.children.push_back(expr(rng, depth + 1));
+    return node;
+  }
+
+ private:
+  /// A literal within one of either end of [lo, hi] or anywhere inside it;
+  /// integral unless `integral` is false.
+  [[nodiscard]] static double near_edges(util::Rng& rng, double lo, double hi,
+                                         bool integral = true) {
+    switch (rng.below(3)) {
+      case 0: return lo + static_cast<double>(rng.below(3)) - 1.0;
+      case 1: return hi + static_cast<double>(rng.below(3)) - 1.0;
+      default: {
+        const double inside = lo + (hi - lo) * rng.uniform();
+        return integral ? std::floor(inside) : inside;
+      }
+    }
+  }
+
+  [[nodiscard]] query::Comparison clause(util::Rng& rng) const {
+    query::Comparison clause;
+    clause.field = static_cast<query::Field>(rng.below(query::kFieldCount));
+    clause.op = static_cast<query::CompareOp>(rng.below(6));
+    const auto apps = static_cast<double>(store_.apps().size());
+    switch (clause.field) {
+      case query::Field::kDay:
+        clause.number = near_edges(rng, -1.0, last_day_);
+        break;
+      case query::Field::kUser:
+        clause.number = std::max(0.0, near_edges(rng, 0.0, store_.user_count() - 1.0));
+        break;
+      case query::Field::kApp:
+        clause.number = std::max(0.0, near_edges(rng, 0.0, apps - 1.0));
+        break;
+      case query::Field::kPrice:
+        clause.number = rng.chance(0.5) ? prices_[rng.below(prices_.size())]
+                                        : near_edges(rng, 0.0, 10.0, false);
+        break;
+      case query::Field::kCategory:
+        clause.op = rng.chance(0.5) ? query::CompareOp::kEq : query::CompareOp::kNe;
+        if (rng.chance(0.3)) {
+          clause.is_text = true;
+          clause.text = store_.categories()[rng.below(store_.categories().size())].name;
+        } else {
+          clause.number = static_cast<double>(rng.below(store_.categories().size() + 2));
+        }
+        break;
+      case query::Field::kStore:
+        clause.op = rng.chance(0.5) ? query::CompareOp::kEq : query::CompareOp::kNe;
+        clause.is_text = true;
+        clause.text = rng.chance(0.5) ? store_.name() : std::string("elsewhere");
+        break;
+    }
+    return clause;
+  }
+
+  const market::AppStore& store_;
+  double last_day_;
+  std::vector<double> prices_;
+};
+
+void expect_same_samples(const std::vector<query::AffinityUserSample>& actual,
+                         const std::vector<query::AffinityUserSample>& expected,
+                         const std::string& context) {
+  ASSERT_EQ(actual.size(), expected.size()) << context;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].user, expected[i].user) << context;
+    EXPECT_EQ(actual[i].comments, expected[i].comments) << context;
+    ASSERT_EQ(actual[i].values.size(), expected[i].values.size()) << context;
+    for (std::size_t d = 0; d < actual[i].values.size(); ++d) {
+      const double a = actual[i].values[d];
+      const double e = expected[i].values[d];
+      EXPECT_TRUE((std::isnan(a) && std::isnan(e)) || a == e) << context;
+    }
+  }
+}
+
+void expect_same_result(const query::QueryResult& actual, const query::QueryResult& expected,
+                        const std::string& context) {
+  EXPECT_EQ(actual.kind, expected.kind) << context;
+  EXPECT_EQ(actual.index_scans, expected.index_scans) << context;
+  EXPECT_EQ(actual.column_scans, expected.column_scans) << context;
+  EXPECT_EQ(actual.residual_filters, expected.residual_filters) << context;
+  EXPECT_EQ(actual.rows_total, expected.rows_total) << context;
+  EXPECT_EQ(actual.rows_selected, expected.rows_selected) << context;
+  EXPECT_EQ(actual.total_downloads, expected.total_downloads) << context;
+  ASSERT_EQ(actual.top.size(), expected.top.size()) << context;
+  for (std::size_t i = 0; i < actual.top.size(); ++i) {
+    EXPECT_EQ(actual.top[i].app, expected.top[i].app) << context;
+    EXPECT_EQ(actual.top[i].downloads, expected.top[i].downloads) << context;
+  }
+  ASSERT_EQ(actual.pareto.size(), expected.pareto.size()) << context;
+  for (std::size_t i = 0; i < actual.pareto.size(); ++i) {
+    EXPECT_EQ(actual.pareto[i].fraction, expected.pareto[i].fraction) << context;
+    EXPECT_EQ(actual.pareto[i].share, expected.pareto[i].share) << context;
+  }
+  ASSERT_EQ(actual.affinity.size(), expected.affinity.size()) << context;
+  for (std::size_t i = 0; i < actual.affinity.size(); ++i) {
+    EXPECT_EQ(actual.affinity[i].depth, expected.affinity[i].depth) << context;
+    EXPECT_EQ(actual.affinity[i].mean, expected.affinity[i].mean) << context;
+    EXPECT_EQ(actual.affinity[i].random_walk, expected.affinity[i].random_walk) << context;
+    EXPECT_EQ(actual.affinity[i].groups, expected.affinity[i].groups) << context;
+    EXPECT_EQ(actual.affinity[i].samples, expected.affinity[i].samples) << context;
+  }
+  ASSERT_EQ(actual.curve.size(), expected.curve.size()) << context;
+  for (std::size_t i = 0; i < actual.curve.size(); ++i) {
+    EXPECT_EQ(actual.curve[i].rank, expected.curve[i].rank) << context;
+    EXPECT_EQ(actual.curve[i].downloads, expected.curve[i].downloads) << context;
+  }
+}
+
+void expect_same_partial(const query::PartialAggregate& actual,
+                         const query::PartialAggregate& expected, const std::string& context) {
+  EXPECT_EQ(actual.kind, expected.kind) << context;
+  EXPECT_EQ(actual.index_scans, expected.index_scans) << context;
+  EXPECT_EQ(actual.column_scans, expected.column_scans) << context;
+  EXPECT_EQ(actual.residual_filters, expected.residual_filters) << context;
+  EXPECT_EQ(actual.rows_total, expected.rows_total) << context;
+  EXPECT_EQ(actual.rows_selected, expected.rows_selected) << context;
+  EXPECT_EQ(actual.app_count, expected.app_count) << context;
+  EXPECT_EQ(actual.counts, expected.counts) << context;
+  EXPECT_EQ(actual.random_walk, expected.random_walk) << context;
+  expect_same_samples(actual.samples, expected.samples, context);
+}
+
+TEST(QueryDifferential, ExecutorMatchesRowByRowReference) {
+  synth::GeneratorConfig config;
+  config.app_scale = 0.002;
+  config.download_scale = 2e-6;
+  config.comments = true;
+  config.seed = 23;
+  const synth::GeneratedStore generated = synth::generate(synth::anzhi(), config);
+  const market::AppStore& store = *generated.store;
+
+  market::Day last_day = 0;
+  for (const std::int32_t day : store.download_log().day()) last_day = std::max(last_day, day);
+  ASSERT_GT(last_day, 2);
+  // Below the first day (history lives on day -1), mid-range, past the last.
+  const market::Day day_bounds[] = {-2, last_day / 2, last_day + 5};
+
+  // threads {1, 3} x scan_block {64 (word-aligned), 100 (ragged tail words),
+  // 16384 (one block)} x index scans on/off.
+  std::vector<std::pair<std::string, std::unique_ptr<query::QueryEngine>>> engines;
+  for (const std::size_t threads : {1, 3}) {
+    for (const std::uint64_t block : {64, 100, 16384}) {
+      for (const bool index : {true, false}) {
+        query::QueryOptions options;
+        options.threads = threads;
+        options.scan_block = block;
+        options.allow_index_scan = index;
+        engines.emplace_back(util::format("threads={} block={} index={}", threads, block, index),
+                             std::make_unique<query::QueryEngine>(store, options));
+      }
+    }
+  }
+
+  const Reference downloads(store, store.download_log());
+  const Reference comments(store, store.comment_log());
+  const FilterGenerator generator(store, last_day);
+  constexpr int kFilters = 1000;
+  std::uint64_t index_plans = 0;
+  for (int i = 0; i < kFilters; ++i) {
+    util::Rng rng(1000 + static_cast<std::uint64_t>(i));
+    query::QuerySpec spec;
+    spec.filter = generator.expr(rng);
+    spec.k = 5;
+    spec.depths = {1, 2, 3};
+    spec.min_samples = 2;
+    spec.points = 20;
+    const market::Day day = day_bounds[i % 3];
+
+    for (std::size_t kind = 0; kind < query::kAggregateKindCount; ++kind) {
+      spec.kind = static_cast<query::AggregateKind>(kind);
+      const bool affinity = spec.kind == query::AggregateKind::kCategoryAffinity;
+      const Reference& reference = affinity ? comments : downloads;
+
+      // Reference partial and its single-store finalization.
+      query::PartialAggregate partial;
+      partial.kind = spec.kind;
+      partial.rows_total = affinity ? store.comment_log().size() : store.download_log().size();
+      query::QueryResult result;
+      result.kind = spec.kind;
+      result.rows_total = partial.rows_total;
+      if (affinity) {
+        partial.samples = reference.samples(spec, day, partial.rows_selected);
+        partial.random_walk = reference.random_walk(spec);
+        result.rows_selected = partial.rows_selected;
+        query::finalize_affinity(spec, partial.samples, partial.random_walk, result);
+      } else {
+        const std::vector<std::uint64_t> counts = reference.counts(spec, day);
+        partial.app_count = counts.size();
+        for (std::size_t app = 0; app < counts.size(); ++app) {
+          if (counts[app] == 0) continue;
+          partial.counts.emplace_back(static_cast<std::uint32_t>(app), counts[app]);
+          partial.rows_selected += counts[app];
+        }
+        query::finalize_downloads(spec, counts, result);
+      }
+
+      for (const auto& [name, engine] : engines) {
+        const query::Plan plan = reference.plan(spec, engine->options());
+        index_plans += plan.index_scans > 0 ? 1 : 0;
+        partial.index_scans = result.index_scans = plan.index_scans;
+        partial.column_scans = result.column_scans = plan.column_scans;
+        partial.residual_filters = result.residual_filters = plan.residual_filters;
+        const std::string context = util::format("filter #{} '{}' kind={} day={} {}", i,
+                                                 query::to_string(*spec.filter),
+                                                 query::to_string(spec.kind), day, name);
+        expect_same_result(engine->run(spec, day), result, context);
+        expect_same_partial(engine->run_partial(spec, day), partial, context);
+        if (::testing::Test::HasFailure()) return;  // one readable failure, not thousands
+      }
+    }
+  }
+  EXPECT_GT(index_plans, 0u);  // the suite reached the index-scan leaves
 }
 
 // ---- wire forms ------------------------------------------------------------------
