@@ -8,9 +8,15 @@
 // checked-in baseline).
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "affinity/metric.hpp"
@@ -176,6 +182,55 @@ void BM_HttpRoundTripFaultSeam(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HttpRoundTripFaultSeam);
+
+[[nodiscard]] double process_cpu_seconds() {
+  timespec now{};
+  (void)::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+// Closed-loop keep-alive round trips: state.range(0) PersistentHttpClients,
+// one per thread (the timed one plus range(0) - 1 background threads), on
+// one worker-pool server. BM_HttpRoundTrip pays a TCP handshake per request,
+// which hides the server's per-request connection handoff; this is the
+// crawler's pattern. cpu_us_per_req is process CPU (clients, dispatcher and
+// workers) per request completed on any connection during the timed loop;
+// req_per_s is those requests over the loop's wall time.
+void BM_HttpKeepAliveRoundTrip(benchmark::State& state) {
+  net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
+    return net::HttpResponse::text(200, "pong");
+  });
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> background_requests{0};
+  std::vector<std::thread> background;
+  for (std::int64_t i = 1; i < state.range(0); ++i) {
+    background.emplace_back([&server, &stop, &background_requests] {
+      net::PersistentHttpClient client("127.0.0.1", server.port());
+      while (!stop.load(std::memory_order_relaxed)) {
+        benchmark::DoNotOptimize(client.get("/ping"));
+        background_requests.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  net::PersistentHttpClient client("127.0.0.1", server.port());
+  benchmark::DoNotOptimize(client.get("/ping"));  // connect outside the timing
+  const std::uint64_t background_start = background_requests.load();
+  const double cpu_start = process_cpu_seconds();
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.get("/ping"));
+  }
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
+  const double cpu = process_cpu_seconds() - cpu_start;
+  const std::uint64_t requests =
+      static_cast<std::uint64_t>(state.iterations()) + background_requests.load() -
+      background_start;
+  stop.store(true);
+  for (std::thread& thread : background) thread.join();
+  state.counters["cpu_us_per_req"] = cpu * 1e6 / static_cast<double>(requests);
+  state.counters["req_per_s"] = static_cast<double>(requests) / wall.count();
+}
+BENCHMARK(BM_HttpKeepAliveRoundTrip)->Arg(1)->Arg(4);
 
 void BM_CounterInc(benchmark::State& state) {
   obs::Counter counter;

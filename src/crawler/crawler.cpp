@@ -191,7 +191,7 @@ std::optional<std::string> Crawler::fetch(const std::string& target, CrawlStats&
 
 void Crawler::crawl_app(std::uint32_t id, market::Day day, CrawlStats& stats,
                         std::size_t worker) {
-  const auto body = fetch(util::format("/api/app/{}", id), stats, worker);
+  const auto body = fetch(util::format("/api/v1/app/{}", id), stats, worker);
   if (!body.has_value()) return;
   const auto parsed = parse_json(*body);
   if (!parsed.has_value()) return;
@@ -226,7 +226,7 @@ void Crawler::crawl_app(std::uint32_t id, market::Day day, CrawlStats& stats,
       scanned = database_.apk_scanned(id, observation.version);
     }
     if (!scanned) {
-      const auto apk = fetch(util::format("/api/app/{}/apk", id), stats, worker);
+      const auto apk = fetch(util::format("/api/v1/app/{}/apk", id), stats, worker);
       if (apk.has_value()) {
         if (metrics_.apk_bytes != nullptr) metrics_.apk_bytes->inc(apk->size());
         const auto scan = scan_apk(*apk);
@@ -243,7 +243,7 @@ void Crawler::crawl_app(std::uint32_t id, market::Day day, CrawlStats& stats,
     std::uint64_t comment_page = 0;
     for (;;) {
       const auto comments_body = fetch(
-          util::format("/api/app/{}/comments?page={}", id, comment_page), stats, worker);
+          util::format("/api/v1/app/{}/comments?page={}", id, comment_page), stats, worker);
       if (!comments_body.has_value()) break;
       const auto comments = parse_json(*comments_body);
       if (!comments.has_value()) break;
@@ -267,7 +267,7 @@ CrawlStats Crawler::crawl_day(market::Day day) {
     std::uint64_t page = 0;
     for (;;) {
       const auto body = fetch(
-          util::format("/api/apps?page={}&per_page={}", page, options_.per_page), stats,
+          util::format("/api/v1/apps?page={}&per_page={}", page, options_.per_page), stats,
           /*worker=*/0);
       if (!body.has_value()) {
         if (page == 0) throw std::runtime_error("crawl_day: cannot enumerate directory");

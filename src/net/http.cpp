@@ -95,8 +95,17 @@ bool parse_headers(std::string_view block, Headers& headers) {
     if (line.empty()) continue;
     const std::size_t colon = line.find(':');
     if (colon == std::string_view::npos) return false;
-    headers.emplace(std::string(util::trim(line.substr(0, colon))),
-                    std::string(util::trim(line.substr(colon + 1))));
+    const std::string_view name = util::trim(line.substr(0, colon));
+    const std::string_view value = util::trim(line.substr(colon + 1));
+    if (util::equals_ci(name, "Transfer-Encoding")) {
+      throw HttpFramingError("HttpReader: Transfer-Encoding is not supported");
+    }
+    const auto [it, inserted] = headers.emplace(std::string(name), std::string(value));
+    // Other repeated headers keep their first value; a second Content-Length
+    // must agree with the first, or the body's end is ambiguous.
+    if (!inserted && util::equals_ci(name, "Content-Length") && it->second != value) {
+      throw HttpFramingError("HttpReader: conflicting Content-Length values");
+    }
   }
   return true;
 }

@@ -2,12 +2,14 @@
 //
 // Supports the subset the crawler pipeline needs: request line + headers +
 // optional Content-Length body, "Connection: close" semantics, and query
-// string parsing. Chunked transfer encoding and pipelining are out of scope.
+// string parsing. Chunked transfer encoding is out of scope, so a message
+// that uses it is rejected rather than misread (see HttpFramingError).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +51,15 @@ struct HttpResponse {
   [[nodiscard]] static HttpResponse json(int status, std::string body);
 };
 
+/// Ambiguous body framing: a Transfer-Encoding header (unsupported, so its
+/// body would be read as the next message) or Content-Length repeated with
+/// conflicting values. Either lets a peer smuggle a second message past the
+/// first, so the message is refused instead of guessed at.
+class HttpFramingError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Incremental reader for one HTTP message off a TcpStream. Enforces limits
 /// on header and body sizes (a crawler must survive a misbehaving server and
 /// a server a misbehaving client).
@@ -59,7 +70,8 @@ class HttpReader {
       : stream_(stream), max_head_(max_head), max_body_(max_body) {}
 
   /// Reads one request. nullopt on clean EOF before any byte.
-  /// Throws std::runtime_error on malformed input or limit violations.
+  /// Throws HttpFramingError on ambiguous framing and std::runtime_error on
+  /// other malformed input or limit violations.
   [[nodiscard]] std::optional<HttpRequest> read_request();
 
   /// Reads one response. nullopt on clean EOF before any byte.
@@ -83,7 +95,8 @@ class HttpReader {
   std::size_t consumed_ = 0;
 };
 
-/// Parses a status line + headers block (exposed for tests).
+/// Parses a status line + headers block (exposed for tests). False on a
+/// malformed head; throws HttpFramingError on ambiguous framing headers.
 [[nodiscard]] bool parse_request_head(std::string_view head, HttpRequest& out);
 [[nodiscard]] bool parse_response_head(std::string_view head, HttpResponse& out);
 

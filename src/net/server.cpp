@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -157,6 +158,14 @@ HttpServer::HttpServer(ServerOptions options, Handler handler)
         options_.worker_threads > 0 ? options_.worker_threads : default_worker_count();
     worker_fds_ = std::make_unique<std::atomic<int>[]>(worker_count);
     for (std::size_t i = 0; i < worker_count; ++i) worker_fds_[i].store(-1);
+    kick_fds_.reserve(worker_count);
+    for (std::size_t i = 0; i < worker_count; ++i) {
+      kick_fds_.emplace_back(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+      if (!kick_fds_.back().valid()) {
+        throw std::system_error(errno, std::generic_category(), "HttpServer: eventfd");
+      }
+    }
+    parked_.reserve(worker_count);
     workers_.reserve(worker_count);
     for (std::size_t i = 0; i < worker_count; ++i) {
       workers_.emplace_back([this, i] { worker_loop(i); });
@@ -180,8 +189,15 @@ HttpServer::~HttpServer() { stop(); }
 void HttpServer::stop() {
   if (!running_.exchange(false)) return;
   if (options_.mode == ServerMode::kWorkerPool) {
-    // 1. The dispatcher notices running_ is false, closes every idle
-    //    connection, and exits — nothing new reaches the ready queue.
+    // 1. Parked workers close their connections (running_ is false); a
+    //    worker about to park sees running_ under the same lock and closes
+    //    instead. The dispatcher closes every idle connection and exits —
+    //    nothing new reaches the ready queue.
+    {
+      const std::lock_guard lock(queue_mutex_);
+      for (const std::size_t index : parked_) kick_locked(index);
+      parked_.clear();
+    }
     wake_dispatcher();
     if (dispatcher_.joinable()) dispatcher_.join();
     listener_.close();
@@ -324,6 +340,17 @@ void HttpServer::wake_dispatcher() noexcept {
   (void)::write(wake_write_.get(), &byte, 1);  // nonblocking; a full pipe is fine
 }
 
+void HttpServer::kick_locked(std::size_t index) noexcept {
+  const std::uint64_t one = 1;
+  (void)::write(kick_fds_[index].get(), &one, sizeof one);
+}
+
+void HttpServer::release(std::unique_ptr<Conn> conn) noexcept {
+  conn.reset();
+  admitted_.fetch_sub(1, std::memory_order_relaxed);
+  if (metrics_.active != nullptr) metrics_.active->sub(1.0);
+}
+
 void HttpServer::enqueue_ready(std::unique_ptr<Conn> conn,
                                std::chrono::steady_clock::time_point now) {
   AdmissionDecision decision = AdmissionDecision::kAdmit;
@@ -334,6 +361,12 @@ void HttpServer::enqueue_ready(std::unique_ptr<Conn> conn,
       conn->queued_at = now;
       ready_.push_back(std::move(conn));
       if (metrics_.queue_depth != nullptr) metrics_.queue_depth->add(1.0);
+      // More queued connections than waiting workers: the rest would sit
+      // behind parked workers' idle timeouts, so free the longest parked.
+      if (ready_.size() > waiting_workers_ && !parked_.empty()) {
+        kick_locked(parked_.front());
+        parked_.erase(parked_.begin());
+      }
     }
   }
   if (decision != AdmissionDecision::kAdmit) {
@@ -345,9 +378,7 @@ void HttpServer::enqueue_ready(std::unique_ptr<Conn> conn,
     shed_connection(std::move(conn->stream),
                     decision == AdmissionDecision::kQueueFull ? ShedReason::kQueue
                                                               : ShedReason::kAdmission);
-    conn.reset();
-    admitted_.fetch_sub(1, std::memory_order_relaxed);
-    if (metrics_.active != nullptr) metrics_.active->sub(1.0);
+    release(std::move(conn));
     return;
   }
   queue_cv_.notify_one();
@@ -356,14 +387,11 @@ void HttpServer::enqueue_ready(std::unique_ptr<Conn> conn,
 void HttpServer::dispatcher_loop() {
   std::vector<pollfd> fds;
   while (running_.load(std::memory_order_relaxed)) {
-    // Fold connections the workers handed back into the idle set.
+    // Fold connections the workers handed back into the idle set; their
+    // idle clock started when the worker stopped serving them.
     {
       const std::lock_guard lock(returned_mutex_);
-      const auto now = std::chrono::steady_clock::now();
-      for (auto& conn : returned_) {
-        conn->idle_since = now;
-        idle_.push_back(std::move(conn));
-      }
+      for (auto& conn : returned_) idle_.push_back(std::move(conn));
       returned_.clear();
     }
 
@@ -404,8 +432,7 @@ void HttpServer::dispatcher_loop() {
       if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
         enqueue_ready(std::move(idle_[i]), now);
       } else if (now - idle_[i]->idle_since >= options_.read_timeout) {
-        admitted_.fetch_sub(1, std::memory_order_relaxed);
-        if (metrics_.active != nullptr) metrics_.active->sub(1.0);
+        release(std::move(idle_[i]));
       } else {
         still_idle.push_back(std::move(idle_[i]));
       }
@@ -432,11 +459,7 @@ void HttpServer::dispatcher_loop() {
 
   // Shutdown: close every idle connection; in-flight and queued ones are
   // drained by the workers (see stop()).
-  for (auto& conn : idle_) {
-    admitted_.fetch_sub(1, std::memory_order_relaxed);
-    if (metrics_.active != nullptr) metrics_.active->sub(1.0);
-    conn.reset();
-  }
+  for (auto& conn : idle_) release(std::move(conn));
   idle_.clear();
 }
 
@@ -445,7 +468,9 @@ void HttpServer::worker_loop(std::size_t index) {
     std::unique_ptr<Conn> conn;
     {
       std::unique_lock lock(queue_mutex_);
+      ++waiting_workers_;
       queue_cv_.wait(lock, [this] { return workers_stopping_ || !ready_.empty(); });
+      --waiting_workers_;
       if (ready_.empty()) return;  // stopping and fully drained
       conn = std::move(ready_.front());
       ready_.pop_front();
@@ -460,23 +485,77 @@ void HttpServer::worker_loop(std::size_t index) {
     if (metrics_.queue_wait != nullptr) {
       metrics_.queue_wait->observe(std::chrono::duration<double>(queue_wait).count());
     }
-    if (metrics_.workers_busy != nullptr) metrics_.workers_busy->add(1.0);
-    worker_fds_[index].store(conn->stream.native_handle(), std::memory_order_release);
-    const bool keep = serve_ready(*conn);
-    worker_fds_[index].store(-1, std::memory_order_release);
-    if (metrics_.workers_busy != nullptr) metrics_.workers_busy->sub(1.0);
-    if (keep && running_.load(std::memory_order_relaxed)) {
-      {
-        const std::lock_guard lock(returned_mutex_);
-        returned_.push_back(std::move(conn));
+    // Serve, then park on the connection and serve its next requests here
+    // for as long as no queued work needs this worker.
+    for (;;) {
+      if (metrics_.workers_busy != nullptr) metrics_.workers_busy->add(1.0);
+      worker_fds_[index].store(conn->stream.native_handle(), std::memory_order_release);
+      const bool keep = serve_ready(*conn);
+      worker_fds_[index].store(-1, std::memory_order_release);
+      if (metrics_.workers_busy != nullptr) metrics_.workers_busy->sub(1.0);
+      if (!keep) {
+        release(std::move(conn));
+        break;
       }
-      wake_dispatcher();
-    } else {
-      conn.reset();
-      admitted_.fetch_sub(1, std::memory_order_relaxed);
-      if (metrics_.active != nullptr) metrics_.active->sub(1.0);
+      conn->idle_since = std::chrono::steady_clock::now();
+      const ParkOutcome outcome = park(index, *conn);
+      if (outcome == ParkOutcome::kReadable) continue;
+      if (outcome == ParkOutcome::kYield) {
+        {
+          const std::lock_guard lock(returned_mutex_);
+          returned_.push_back(std::move(conn));
+        }
+        wake_dispatcher();
+      } else {
+        release(std::move(conn));
+      }
+      break;
     }
   }
+}
+
+HttpServer::ParkOutcome HttpServer::park(std::size_t index, Conn& conn) {
+  {
+    const std::lock_guard lock(queue_mutex_);
+    // Checked under the lock that enqueue_ready and stop() kick under, so a
+    // connection queued (or a stop begun) after this point finds the worker
+    // in parked_.
+    if (!running_.load(std::memory_order_relaxed)) return ParkOutcome::kClose;
+    if (!ready_.empty()) return ParkOutcome::kYield;
+    parked_.push_back(index);
+  }
+  const int kick_fd = kick_fds_[index].get();
+  pollfd fds[2] = {pollfd{conn.stream.native_handle(), POLLIN, 0},
+                   pollfd{kick_fd, POLLIN, 0}};
+  const auto deadline = conn.idle_since + options_.read_timeout;
+  bool readable = false;
+  for (;;) {
+    const auto remaining = deadline - std::chrono::steady_clock::now();
+    if (remaining <= std::chrono::steady_clock::duration::zero()) break;
+    const auto timeout = std::chrono::ceil<std::chrono::milliseconds>(remaining);
+    const int rc = ::poll(fds, 2, static_cast<int>(timeout.count()));
+    if (rc < 0 && errno != EINTR) break;
+    if (fds[1].revents != 0) break;  // kicked
+    if (fds[0].revents != 0) {       // a request, or EOF/error for serve_ready
+      readable = true;
+      break;
+    }
+  }
+  bool kicked = false;
+  {
+    const std::lock_guard lock(queue_mutex_);
+    // A kick removes the worker from parked_ before writing its eventfd.
+    const auto it = std::find(parked_.begin(), parked_.end(), index);
+    kicked = it == parked_.end();
+    if (!kicked) parked_.erase(it);
+  }
+  if (kicked) {
+    std::uint64_t count = 0;
+    (void)::read(kick_fd, &count, sizeof count);  // reset for the next park
+    return running_.load(std::memory_order_relaxed) ? ParkOutcome::kYield
+                                                     : ParkOutcome::kClose;
+  }
+  return readable ? ParkOutcome::kReadable : ParkOutcome::kClose;
 }
 
 bool HttpServer::serve_ready(Conn& conn) {

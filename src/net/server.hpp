@@ -7,15 +7,29 @@
 //     clients (the crawler keeps one per worker×proxy) are cheap.
 //   * A fixed pool of worker threads serves *readable* connections handed
 //     over through a bounded ready queue: a worker reads one request (plus
-//     any pipelined requests already buffered), runs the handler, writes the
-//     response, and returns the connection to the dispatcher.
+//     any pipelined requests already buffered), runs the handler, and writes
+//     the response.
+//   * Parking: after a keep-alive response, a worker that finds the ready
+//     queue empty keeps the connection and polls it together with its own
+//     eventfd, for at most the connection's remaining read_timeout. The next
+//     request on it is served directly — no dispatcher wake-up, no queue hop
+//     — so a closed-loop client costs one worker wake-up per request, not
+//     three thread handoffs. Only an idle connection past its timeout is
+//     closed by the parked worker.
+//   * Kicks: when a connection enters the ready queue and no worker is
+//     waiting for it, one parked worker (the longest parked) is kicked
+//     through its eventfd; it hands its connection back to the dispatcher
+//     and takes the queued one. Queued work therefore never waits out a
+//     parked worker's idle timeout, and with a non-empty queue nobody
+//     parks, so admission and shedding under saturation are unchanged.
 //   * Load shedding is explicit at two layers, both answering
 //     "503 Service Unavailable" + Retry-After: accept-time (admitted
 //     connections would exceed max_connections) and queue-time (a connection
 //     became readable but the ready queue is full).
 //   * stop() drains gracefully: requests already admitted to the ready queue
 //     or being served complete (their responses carry "Connection: close");
-//     idle connections are closed immediately.
+//     idle connections, parked ones included (stop() kicks every parked
+//     worker), are closed immediately.
 //
 // ServerMode::kThreadPerConnection keeps the previous design — one thread
 // per connection, reaped as new ones arrive — as the benchmarking baseline
@@ -62,8 +76,9 @@ struct ServerOptions {
   /// closed (load shedding).
   std::size_t max_connections = 256;
   /// Per-connection read timeout. Worker pool: an idle keep-alive connection
-  /// past this is closed by the dispatcher, and a worker mid-read gives up
-  /// after it. Thread-per-connection: plain socket receive timeout.
+  /// past this is closed (by the dispatcher, or by the worker parked on it),
+  /// and a worker mid-read gives up after it. Thread-per-connection: plain
+  /// socket receive timeout.
   std::chrono::milliseconds read_timeout = std::chrono::milliseconds(5000);
   /// Serving architecture; see the header comment.
   ServerMode mode = ServerMode::kWorkerPool;
@@ -90,7 +105,9 @@ struct ServerOptions {
   ///   admission_sheds_total             adaptive-limit refusals
   ///   http_active_connections (gauge)   admitted connections
   ///   server_queue_depth (gauge)        ready connections awaiting a worker
-  ///   server_queue_wait_seconds         time spent in the ready queue
+  ///   server_queue_wait_seconds         time spent in the ready queue (only
+  ///                                     queued handoffs: requests a parked
+  ///                                     worker serves never queue)
   ///   server_workers_busy (gauge)       workers currently serving
   /// Must outlive the server.
   obs::Registry* metrics = nullptr;
@@ -184,6 +201,8 @@ class HttpServer {
   struct Conn {
     TcpStream stream;
     HttpReader reader;
+    /// Accept time, then the end of the last response; the read_timeout
+    /// idle deadline counts from here wherever the connection waits.
     std::chrono::steady_clock::time_point idle_since{};
     std::chrono::steady_clock::time_point queued_at{};
 
@@ -194,10 +213,26 @@ class HttpServer {
   void dispatcher_loop();
   void worker_loop(std::size_t index);
   /// Serves every request currently available on the connection; true when
-  /// it should return to the dispatcher (keep-alive), false when closed.
+  /// it stays open (keep-alive), false when closed.
   bool serve_ready(Conn& conn);
+
+  enum class ParkOutcome : std::uint8_t {
+    kReadable,  ///< the next request arrived: serve it on this worker
+    kYield,     ///< queued work (or a kick): hand the connection back
+    kClose,     ///< idle past read_timeout, or the server is stopping
+  };
+
+  /// Holds the just-served keep-alive `conn` on worker `index` until its
+  /// next request, a kick, or its idle deadline — unless the ready queue is
+  /// non-empty or the server is stopping, which decide at once.
+  ParkOutcome park(std::size_t index, Conn& conn);
+  /// Wakes parked worker `index`; the caller holds queue_mutex_ and has
+  /// already removed `index` from parked_.
+  void kick_locked(std::size_t index) noexcept;
   void enqueue_ready(std::unique_ptr<Conn> conn,
                      std::chrono::steady_clock::time_point now);
+  /// Closes a pooled connection and releases its admission slot.
+  void release(std::unique_ptr<Conn> conn) noexcept;
   void wake_dispatcher() noexcept;
 
   // ---- thread-per-connection mode ----------------------------------------
@@ -246,6 +281,9 @@ class HttpServer {
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<Conn>> ready_;  ///< guarded by queue_mutex_
   bool workers_stopping_ = false;            ///< guarded by queue_mutex_
+  std::size_t waiting_workers_ = 0;  ///< in queue_cv_ wait; guarded by queue_mutex_
+  std::vector<std::size_t> parked_;  ///< parked workers, oldest first; guarded by queue_mutex_
+  std::vector<FileDescriptor> kick_fds_;  ///< per-worker eventfd a kick writes
   std::mutex returned_mutex_;
   std::vector<std::unique_ptr<Conn>> returned_;  ///< workers -> dispatcher
   FileDescriptor wake_read_, wake_write_;        ///< dispatcher wakeup pipe

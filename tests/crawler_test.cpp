@@ -2,11 +2,16 @@
 // crawl database, and the end-to-end crawler with proxy rotation.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <string>
+#include <vector>
+
 #include "crawler/apk.hpp"
 #include "crawler/crawler.hpp"
 #include "crawler/database.hpp"
 #include "crawler/json.hpp"
 #include "crawler/service.hpp"
+#include "net/server.hpp"
 #include "obs/registry.hpp"
 #include "synth/generator.hpp"
 #include "util/format.hpp"
@@ -362,6 +367,49 @@ TEST_F(ServiceFixture, CrawlerEndToEndMatchesGroundTruth) {
   const auto series = database.snapshot_series();
   ASSERT_EQ(series.snapshots().size(), 3u);
   EXPECT_LT(series.snapshots()[0].total_downloads, series.snapshots()[2].total_downloads);
+}
+
+TEST_F(ServiceFixture, CrawlerUsesOnlyVersionedApi) {
+  // A recording front server relays every crawl request to the service and
+  // keeps its target: the crawler must never take a deprecated /api/* alias.
+  AppstoreService service(*generated_->store, ServicePolicy{});
+  service.set_day(60);
+  std::mutex mutex;
+  std::vector<std::string> targets;
+  std::size_t deprecated = 0;
+  net::HttpServer front(net::ServerOptions{}, [&](const net::HttpRequest& request) {
+    net::HttpResponse response = service.respond(request);
+    const std::lock_guard lock(mutex);
+    targets.push_back(request.target);
+    if (response.headers.contains("Deprecation")) ++deprecated;
+    return response;
+  });
+
+  CrawlDatabase database;
+  CrawlerConfig config;
+  config.port = front.port();
+  config.fetch_comments = true;
+  config.fetch_apks = true;
+  Crawler crawler(config, database);
+  (void)crawler.crawl_day(60);
+  front.stop();
+
+  std::size_t directory = 0;
+  std::size_t apps = 0;
+  std::size_t comments = 0;
+  std::size_t apks = 0;
+  for (const std::string& target : targets) {
+    EXPECT_TRUE(target.starts_with("/api/v1/")) << target;
+    if (target.starts_with("/api/v1/apps?")) ++directory;
+    if (target.find("/comments?") != std::string::npos) ++comments;
+    if (target.ends_with("/apk")) ++apks;
+    if (target.find('?') == std::string::npos && !target.ends_with("/apk")) ++apps;
+  }
+  EXPECT_EQ(deprecated, 0u);
+  EXPECT_GT(directory, 0u);
+  EXPECT_GT(apps, 0u);
+  EXPECT_GT(comments, 0u);
+  EXPECT_GT(apks, 0u);
 }
 
 TEST_F(ServiceFixture, CrawlerSurvivesInjectedFailures) {

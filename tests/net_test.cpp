@@ -1,10 +1,15 @@
 // Unit + integration tests for the networking substrate: HTTP parsing,
 // client/server over real loopback sockets, rate limiting, proxy pool.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cmath>
+#include <mutex>
+#include <string>
+#include <system_error>
 #include <thread>
+#include <vector>
 
 #include "chaos/clock.hpp"
 #include "net/http.hpp"
@@ -81,6 +86,78 @@ TEST(Http, NoQueryString) {
   request.target = "/api/meta";
   EXPECT_TRUE(request.query().empty());
   EXPECT_EQ(request.path(), "/api/meta");
+}
+
+// ---- request framing ---------------------------------------------------------------
+
+/// Reads one request from `wire` through an HttpReader over a socketpair
+/// (the reader needs only recv(), so no listener is involved).
+std::optional<HttpRequest> read_request_from(std::string_view wire) {
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    throw std::system_error(errno, std::generic_category(), "socketpair");
+  }
+  TcpStream writer{FileDescriptor(fds[0])};
+  TcpStream reading_end{FileDescriptor(fds[1])};
+  writer.write_all(wire);
+  writer.shutdown_write();
+  HttpReader reader(reading_end);
+  return reader.read_request();
+}
+
+TEST(HttpFraming, RejectsTransferEncoding) {
+  // Read as Content-Length framing, the chunked body would be parsed as the
+  // next request on the connection.
+  EXPECT_THROW((void)read_request_from("POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                                       "5\r\nhello\r\n0\r\n\r\n"),
+               HttpFramingError);
+  EXPECT_THROW((void)read_request_from("POST /a HTTP/1.1\r\nContent-Length: 5\r\n"
+                                       "transfer-encoding: identity\r\n\r\nhello"),
+               HttpFramingError);
+}
+
+TEST(HttpFraming, RejectsConflictingContentLength) {
+  EXPECT_THROW((void)read_request_from("POST /a HTTP/1.1\r\nContent-Length: 5\r\n"
+                                       "Content-Length: 30\r\n\r\nhello"),
+               HttpFramingError);
+  EXPECT_THROW((void)read_request_from("POST /a HTTP/1.1\r\nContent-Length: 30\r\n"
+                                       "content-length: 5\r\n\r\nhello"),
+               HttpFramingError);
+}
+
+TEST(HttpFraming, AcceptsRepeatedIdenticalContentLength) {
+  const auto request = read_request_from(
+      "POST /a HTTP/1.1\r\nContent-Length: 5\r\ncontent-length:  5\r\n\r\nhello");
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->body, "hello");
+  EXPECT_EQ(request->headers.at("Content-Length"), "5");
+}
+
+TEST(HttpFraming, ServerClosesInsteadOfServingSmuggledRequest) {
+  std::mutex mutex;
+  std::vector<std::string> served;
+  HttpServer server(ServerOptions{}, [&](const HttpRequest& request) {
+    const std::lock_guard lock(mutex);
+    served.push_back(request.target);
+    return HttpResponse::text(200, "ok");
+  });
+  TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.set_timeout(std::chrono::milliseconds(5000));
+  // The chunk data is a complete second request: a reader that ignored
+  // Transfer-Encoding would serve /smuggled next.
+  stream.write_all(
+      "POST /front HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "1c\r\nGET /smuggled HTTP/1.1\r\n\r\n\r\n0\r\n\r\n");
+  HttpReader reader(stream);
+  bool closed = false;
+  try {
+    closed = !reader.read_response().has_value();
+  } catch (const std::system_error&) {
+    closed = true;  // a reset is a close too
+  }
+  EXPECT_TRUE(closed);
+  server.stop();
+  EXPECT_TRUE(served.empty());
 }
 
 // ---- sockets + server integration -------------------------------------------------

@@ -58,6 +58,90 @@ TEST(WorkerPool, ServesConcurrentPersistentClients) {
   EXPECT_EQ(server.requests_served(), 200u);
 }
 
+// ---- parked workers ------------------------------------------------------------
+
+TEST(WorkerPool, ParkedWorkerServesWithoutTheQueue) {
+  // One closed-loop client: the worker parks on its connection after each
+  // response, so only the first request ever passes through the ready queue.
+  obs::Registry registry;
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.metrics = &registry;
+  HttpServer server(options,
+                    [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  PersistentHttpClient client("127.0.0.1", server.port());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_EQ(client.get("/x").status, 200);
+  }
+  const auto snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.find_counter("http_requests_total", "2xx")->value, 20u);
+  EXPECT_EQ(snapshot.find_histogram("server_queue_wait_seconds")->count, 1u);
+}
+
+TEST(WorkerPool, KickedWorkerTakesQueuedConnection) {
+  // One worker, two persistent clients taking turns: every request on the
+  // other connection finds the only worker parked, so it is served only
+  // because enqueue kicks the parked worker, not when the parked
+  // connection's 10 s idle timeout runs out.
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.read_timeout = 10s;
+  HttpServer server(options,
+                    [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  PersistentHttpClient first("127.0.0.1", server.port());
+  PersistentHttpClient second("127.0.0.1", server.port());
+  for (int i = 0; i < 50; ++i) {
+    for (PersistentHttpClient* client : {&first, &second}) {
+      const auto start = std::chrono::steady_clock::now();
+      ASSERT_EQ(client->get("/x").status, 200);
+      EXPECT_LT(std::chrono::steady_clock::now() - start, 2s) << "turn " << i;
+    }
+  }
+  EXPECT_EQ(first.connections_opened(), 1u);
+  EXPECT_EQ(second.connections_opened(), 1u);
+  EXPECT_EQ(server.requests_served(), 100u);
+}
+
+TEST(WorkerPool, ParkedConnectionClosesOnIdleTimeout) {
+  obs::Registry registry;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.read_timeout = 100ms;
+  options.metrics = &registry;
+  HttpServer server(options,
+                    [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  PersistentHttpClient client("127.0.0.1", server.port());
+  ASSERT_EQ(client.get("/x").status, 200);
+  const auto active = [&registry] { return registry.gauge("http_active_connections").value(); };
+  EXPECT_EQ(active(), 1.0);
+  // The parked worker closes the connection once it has idled past the
+  // read timeout; the client's next request transparently reconnects.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (active() != 0.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_EQ(active(), 0.0);
+  ASSERT_EQ(client.get("/x").status, 200);
+  EXPECT_EQ(client.connections_opened(), 2u);
+}
+
+TEST(WorkerPool, StopKicksParkedWorkers) {
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.read_timeout = 30s;
+  HttpServer server(options,
+                    [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  PersistentHttpClient first("127.0.0.1", server.port());
+  PersistentHttpClient second("127.0.0.1", server.port());
+  ASSERT_EQ(first.get("/x").status, 200);
+  ASSERT_EQ(second.get("/x").status, 200);
+  // Both workers are parked on a connection with 30 s of idle time left;
+  // stop() must not wait that out.
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+}
+
 // ---- bounded queue load shedding ----------------------------------------------
 
 TEST(WorkerPool, BoundedQueueShedsWith503AndRetryAfter) {
