@@ -23,6 +23,7 @@
 #include "cache/policy.hpp"
 #include "chaos/fault.hpp"
 #include "crawler/json.hpp"
+#include "crawler/query_json.hpp"
 #include "events/event_log.hpp"
 #include "fit/sweep.hpp"
 #include "market/store.hpp"
@@ -119,20 +120,68 @@ void BM_AffinityDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_AffinityDepth)->Arg(1)->Arg(3);
 
+/// The download-kind partial a shard answers for a day-range query in the
+/// fed_scatter store shape: ~600 apps, 580 of them with downloads.
+query::PartialAggregate shard_partial() {
+  query::PartialAggregate partial;
+  partial.kind = query::AggregateKind::kTopKDownloads;
+  partial.column_scans = 1;
+  partial.rows_total = 35'000;
+  partial.app_count = 600;
+  util::Rng rng(6);
+  for (std::uint32_t app = 0; app < 600; ++app) {
+    if (app % 30 == 7) continue;
+    const std::uint64_t downloads = 1 + rng.below(5000) / (1 + rng.below(50));
+    partial.counts.emplace_back(app, downloads);
+    partial.rows_selected += downloads;
+  }
+  return partial;
+}
+
+// Encode and decode of one document, each timed on its own (counters
+// `encode_us` / `decode_us`; the iteration time is their sum). Arg 0: a
+// 100-id directory page through Json::dump / parse_json. Arg 1: the shard
+// partial above through the scatter path's own codec, query_partial_json +
+// dump on the shard and parse_json + partial_from_json on the gateway.
 void BM_JsonRoundTrip(benchmark::State& state) {
+  const bool partial_shape = state.range(0) == 1;
+  const query::PartialAggregate partial = shard_partial();
   crawlersim::JsonArray ids;
   for (int i = 0; i < 100; ++i) ids.push_back(crawlersim::Json(i));
-  const crawlersim::Json document = crawlersim::json_object(
+  const crawlersim::Json page = crawlersim::json_object(
       {{"page", crawlersim::Json(0)},
        {"total", crawlersim::Json(100)},
        {"ids", crawlersim::Json(std::move(ids))}});
-  const std::string text = document.dump();
+  using Clock = std::chrono::steady_clock;
+  Clock::duration encode{};
+  Clock::duration decode{};
+  std::size_t bytes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crawlersim::parse_json(text));
+    const auto start = Clock::now();
+    std::string text =
+        partial_shape ? crawlersim::query_partial_json(partial, 59).dump() : page.dump();
+    const auto encoded = Clock::now();
+    if (partial_shape) {
+      benchmark::DoNotOptimize(crawlersim::partial_from_json(*crawlersim::parse_json(text)));
+    } else {
+      benchmark::DoNotOptimize(crawlersim::parse_json(text));
+    }
+    const auto decoded = Clock::now();
+    encode += encoded - start;
+    decode += decoded - encoded;
+    bytes = text.size();
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * text.size()));
+  const auto per_iteration_us = [&](Clock::duration total) {
+    return std::chrono::duration<double, std::micro>(total).count() /
+           static_cast<double>(std::max<benchmark::IterationCount>(1, state.iterations()));
+  };
+  state.counters["encode_us"] = per_iteration_us(encode);
+  state.counters["decode_us"] = per_iteration_us(decode);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * bytes));
+  state.SetLabel(partial_shape ? "shard partial, 580 pairs" : "directory page, 100 ids");
 }
-BENCHMARK(BM_JsonRoundTrip);
+BENCHMARK(BM_JsonRoundTrip)->Arg(0)->Arg(1);
 
 void BM_HttpRoundTrip(benchmark::State& state) {
   net::HttpServer server(0, [](const net::HttpRequest&) {

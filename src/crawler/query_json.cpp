@@ -217,29 +217,31 @@ Json query_partial_json(const query::PartialAggregate& partial, market::Day day)
   document.emplace_back("rows_selected", Json(partial.rows_selected));
 
   if (partial.kind == query::AggregateKind::kCategoryAffinity) {
-    JsonArray random_walk(partial.random_walk.size());
-    for (std::size_t i = 0; i < partial.random_walk.size(); ++i) {
-      random_walk[i] = Json(partial.random_walk[i]);
-    }
+    JsonArray random_walk;
+    random_walk.reserve(partial.random_walk.size());
+    for (const double value : partial.random_walk) random_walk.emplace_back(value);
     document.emplace_back("random_walk", Json(std::move(random_walk)));
-    JsonArray samples(partial.samples.size());
-    for (std::size_t s = 0; s < partial.samples.size(); ++s) {
-      const query::AffinityUserSample& sample = partial.samples[s];
-      JsonArray row(2 + sample.values.size());
-      row[0] = Json(static_cast<std::uint64_t>(sample.user));
-      row[1] = Json(sample.comments);
-      for (std::size_t i = 0; i < sample.values.size(); ++i) row[2 + i] = Json(sample.values[i]);
-      samples[s] = Json(std::move(row));
+    JsonArray samples;
+    samples.reserve(partial.samples.size());
+    for (const query::AffinityUserSample& sample : partial.samples) {
+      JsonArray row;
+      row.reserve(2 + sample.values.size());
+      row.emplace_back(static_cast<std::uint64_t>(sample.user));
+      row.emplace_back(sample.comments);
+      for (const double value : sample.values) row.emplace_back(value);
+      samples.emplace_back(std::move(row));
     }
     document.emplace_back("samples", Json(std::move(samples)));
   } else {
     document.emplace_back("app_count", Json(partial.app_count));
-    JsonArray counts(partial.counts.size());
-    for (std::size_t i = 0; i < partial.counts.size(); ++i) {
-      JsonArray pair(2);
-      pair[0] = Json(static_cast<std::uint64_t>(partial.counts[i].first));
-      pair[1] = Json(partial.counts[i].second);
-      counts[i] = Json(std::move(pair));
+    JsonArray counts;
+    counts.reserve(partial.counts.size());
+    for (const auto& [app, downloads] : partial.counts) {
+      JsonArray pair;
+      pair.reserve(2);
+      pair.emplace_back(static_cast<std::uint64_t>(app));
+      pair.emplace_back(downloads);
+      counts.emplace_back(std::move(pair));
     }
     document.emplace_back("counts", Json(std::move(counts)));
   }

@@ -467,8 +467,9 @@ FederationGateway::Routed FederationGateway::route_app(const net::HttpRequest& r
   const auto results = scatter(request);
   if (auto error = scatter_error(results)) return std::move(*error);
   std::uint64_t downloads = 0;
+  std::optional<Json> first;  // the replicated entity fields come from shard 0
   for (const auto& result : results) {
-    const auto document = crawlersim::parse_json(result.response.body);
+    auto document = crawlersim::parse_json(result.response.body);
     if (!document || !document->is_object()) {
       return {error_response(502, "bad_upstream_body", "unparseable shard response"),
               Outcome::kHttp5xx};
@@ -479,9 +480,10 @@ FederationGateway::Routed FederationGateway::route_app(const net::HttpRequest& r
               Outcome::kHttp5xx};
     }
     downloads += field->as_u64();
+    if (!first) first = std::move(document);
   }
   // Entity fields are replicated; only the download count is sharded.
-  JsonObject merged = crawlersim::parse_json(results.front().response.body)->as_object();
+  JsonObject merged = first->as_object();
   for (auto& member : merged) {
     if (member.first == "downloads") member.second = Json(downloads);
   }

@@ -277,9 +277,10 @@ void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> co
       break;
     }
     case AggregateKind::kParetoShare: {
-      std::vector<double> as_double(counts.begin(), counts.end());
-      for (const double fraction : spec.fractions) {
-        result.pareto.push_back({fraction, stats::top_share(as_double, fraction)});
+      const std::vector<double> as_double(counts.begin(), counts.end());
+      const std::vector<double> shares = stats::top_shares(as_double, spec.fractions);
+      for (std::size_t i = 0; i < shares.size(); ++i) {
+        result.pareto.push_back({spec.fractions[i], shares[i]});
       }
       break;
     }

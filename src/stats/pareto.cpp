@@ -49,12 +49,24 @@ std::vector<ShareCurvePoint> share_curve(std::span<const double> counts,
 }
 
 double top_share(std::span<const double> counts, double top_fraction) {
+  return top_shares(counts, std::span<const double>(&top_fraction, 1)).front();
+}
+
+std::vector<double> top_shares(std::span<const double> counts,
+                               std::span<const double> top_fractions) {
   const Prefix p = build_prefix(counts);
-  if (p.sorted.empty() || p.total <= 0.0 || top_fraction <= 0.0) return 0.0;
-  auto k = static_cast<std::size_t>(
-      std::ceil(top_fraction * static_cast<double>(p.sorted.size())));
-  k = std::clamp<std::size_t>(k, 1, p.sorted.size());
-  return p.cumulative[k - 1] / p.total;
+  std::vector<double> shares;
+  shares.reserve(top_fractions.size());
+  for (const double fraction : top_fractions) {
+    if (p.sorted.empty() || p.total <= 0.0 || fraction <= 0.0) {
+      shares.push_back(0.0);
+      continue;
+    }
+    auto k = static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(p.sorted.size())));
+    k = std::clamp<std::size_t>(k, 1, p.sorted.size());
+    shares.push_back(p.cumulative[k - 1] / p.total);
+  }
+  return shares;
 }
 
 std::vector<LorenzPoint> lorenz_curve(std::span<const double> counts, std::size_t resolution) {

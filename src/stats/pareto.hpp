@@ -24,6 +24,10 @@ struct ShareCurvePoint {
 /// Share of total held by the top `top_fraction` (0..1] of items.
 [[nodiscard]] double top_share(std::span<const double> counts, double top_fraction);
 
+/// top_share for each of `top_fractions`, sorting `counts` once for all.
+[[nodiscard]] std::vector<double> top_shares(std::span<const double> counts,
+                                             std::span<const double> top_fractions);
+
 /// Lorenz curve: (population fraction, cumulative share) sorted ascending —
 /// the standard inequality representation, complementary to share_curve.
 struct LorenzPoint {

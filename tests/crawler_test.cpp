@@ -2,7 +2,15 @@
 // crawl database, and the end-to-end crawler with proxy rotation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,11 +18,13 @@
 #include "crawler/crawler.hpp"
 #include "crawler/database.hpp"
 #include "crawler/json.hpp"
+#include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
 #include "net/server.hpp"
 #include "obs/registry.hpp"
 #include "synth/generator.hpp"
 #include "util/format.hpp"
+#include "util/rng.hpp"
 
 namespace appstore::crawlersim {
 namespace {
@@ -93,6 +103,55 @@ TEST(Json, DeepNestingGuard) {
   std::string deep(200, '[');
   deep += std::string(200, ']');
   EXPECT_FALSE(parse_json(deep).has_value());  // beyond depth limit
+}
+
+/// The number text the writer is specified to produce, spelled with printf:
+/// "%.0f" for integers below 2^53 in magnitude, "%.17g" for every other
+/// finite value, null for NaN and infinities.
+std::string printf_number(double value) {
+  if (std::isnan(value) || std::isinf(value)) return "null";
+  char buffer[32];
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", value);
+  } else {
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  }
+  return buffer;
+}
+
+TEST(Json, NumberTextMatchesPrintf) {
+  const double two53 = 9007199254740992.0;
+  std::vector<double> values = {
+      0.0, -0.0, two53 - 1, -(two53 - 1), two53, -two53, two53 + 2, 1e21, -1e21, 1e22,
+      std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN / 2, DBL_MIN - std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX,
+      -DBL_MAX, 0.1, -0.1, 1.0 / 3.0, 2.0 / 3.0, 0.5, -2.5, 4503599627370495.5, 1e-7,
+      123456789.125, 9.2233720368547758e18, 1e300, std::nan(""),
+      std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity()};
+  util::Rng rng(20130);
+  for (int i = 0; i < (1 << 20); ++i) {
+    switch (i % 4) {
+      case 0:
+      case 1: values.push_back(std::bit_cast<double>(rng())); break;
+      case 2:  // integers on both sides of 2^53
+        values.push_back(static_cast<double>(static_cast<std::int64_t>(rng.below(1ULL << 55)) -
+                                             (std::int64_t{1} << 54)));
+        break;
+      default:  // short decimals, the service's ratings and prices
+        values.push_back(static_cast<double>(rng.below(2'000'000)) / 1000.0 - 1000.0);
+        break;
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double value : values) {
+    const std::string expected = printf_number(value);
+    const std::string written = Json(value).dump();
+    if (written != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(value) << ": wrote " << written
+                    << ", printf gives " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " numbers";
 }
 
 // ---- database --------------------------------------------------------------------
@@ -577,6 +636,300 @@ TEST_F(ServiceFixture, CrawlerFetchesEachApkVersionOnce) {
   EXPECT_NEAR(database.free_apps_with_ads_fraction(), truth_fraction, 1e-9);
 }
 
+// ---- JSON parser fuzz ------------------------------------------------------------
+
+/// The recursive-descent parser as it was before the codec stopped calling
+/// <cctype> and returning a std::optional<Json> per value, kept unchanged as
+/// the reference for which inputs parse_json accepts and what they parse to.
+class ReferenceParser {
+ public:
+  explicit ReferenceParser(std::string_view text) : text_(text) {}
+
+  [[nodiscard]] std::optional<Json> parse() {
+    skip_whitespace();
+    auto value = parse_value();
+    if (!value.has_value()) return std::nullopt;
+    skip_whitespace();
+    if (position_ != text_.size()) return std::nullopt;
+    return value;
+  }
+
+ private:
+  void skip_whitespace() {
+    while (position_ < text_.size() &&
+           std::isspace(static_cast<unsigned char>(text_[position_]))) {
+      ++position_;
+    }
+  }
+
+  [[nodiscard]] bool consume(char expected) {
+    if (position_ < text_.size() && text_[position_] == expected) {
+      ++position_;
+      return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] bool consume_literal(std::string_view literal) {
+    if (text_.substr(position_, literal.size()) == literal) {
+      position_ += literal.size();
+      return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::optional<Json> parse_value() {
+    if (depth_ > kMaxDepth) return std::nullopt;
+    skip_whitespace();
+    if (position_ >= text_.size()) return std::nullopt;
+    switch (text_[position_]) {
+      case 'n': return consume_literal("null") ? std::optional<Json>(Json(nullptr)) : std::nullopt;
+      case 't': return consume_literal("true") ? std::optional<Json>(Json(true)) : std::nullopt;
+      case 'f': return consume_literal("false") ? std::optional<Json>(Json(false)) : std::nullopt;
+      case '"': return parse_string();
+      case '[': return parse_array();
+      case '{': return parse_object();
+      default: return parse_number();
+    }
+  }
+
+  [[nodiscard]] std::optional<Json> parse_string() {
+    std::optional<std::string> raw = parse_raw_string();
+    if (!raw.has_value()) return std::nullopt;
+    return Json(std::move(*raw));
+  }
+
+  [[nodiscard]] std::optional<std::string> parse_raw_string() {
+    if (!consume('"')) return std::nullopt;
+    std::string out;
+    while (position_ < text_.size()) {
+      const char c = text_[position_++];
+      if (c == '"') return out;
+      if (c == '\\') {
+        if (position_ >= text_.size()) return std::nullopt;
+        const char escape = text_[position_++];
+        switch (escape) {
+          case '"': out.push_back('"'); break;
+          case '\\': out.push_back('\\'); break;
+          case '/': out.push_back('/'); break;
+          case 'n': out.push_back('\n'); break;
+          case 'r': out.push_back('\r'); break;
+          case 't': out.push_back('\t'); break;
+          case 'b': out.push_back('\b'); break;
+          case 'f': out.push_back('\f'); break;
+          case 'u': {
+            if (position_ + 4 > text_.size()) return std::nullopt;
+            unsigned code = 0;
+            for (int k = 0; k < 4; ++k) {
+              const char h = text_[position_++];
+              code <<= 4;
+              if (h >= '0' && h <= '9') {
+                code |= static_cast<unsigned>(h - '0');
+              } else if (h >= 'a' && h <= 'f') {
+                code |= static_cast<unsigned>(h - 'a' + 10);
+              } else if (h >= 'A' && h <= 'F') {
+                code |= static_cast<unsigned>(h - 'A' + 10);
+              } else {
+                return std::nullopt;
+              }
+            }
+            if (code < 0x80) {
+              out.push_back(static_cast<char>(code));
+            } else if (code < 0x800) {
+              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            } else {
+              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            }
+            break;
+          }
+          default: return std::nullopt;
+        }
+      } else {
+        out.push_back(c);
+      }
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] std::optional<Json> parse_number() {
+    const std::size_t start = position_;
+    if (position_ < text_.size() && text_[position_] == '-') ++position_;
+    while (position_ < text_.size() &&
+           (std::isdigit(static_cast<unsigned char>(text_[position_])) ||
+            text_[position_] == '.' || text_[position_] == 'e' || text_[position_] == 'E' ||
+            text_[position_] == '+' || text_[position_] == '-')) {
+      ++position_;
+    }
+    if (position_ == start) return std::nullopt;
+    double value = 0.0;
+    const auto* first = text_.data() + start;
+    const auto* last = text_.data() + position_;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc{} || ptr != last) return std::nullopt;
+    return Json(value);
+  }
+
+  [[nodiscard]] std::optional<Json> parse_array() {
+    if (!consume('[')) return std::nullopt;
+    ++depth_;
+    JsonArray array;
+    skip_whitespace();
+    if (consume(']')) {
+      --depth_;
+      return Json(std::move(array));
+    }
+    for (;;) {
+      auto element = parse_value();
+      if (!element.has_value()) return std::nullopt;
+      array.push_back(std::move(*element));
+      skip_whitespace();
+      if (consume(']')) {
+        --depth_;
+        return Json(std::move(array));
+      }
+      if (!consume(',')) return std::nullopt;
+    }
+  }
+
+  [[nodiscard]] std::optional<Json> parse_object() {
+    if (!consume('{')) return std::nullopt;
+    ++depth_;
+    JsonObject object;
+    skip_whitespace();
+    if (consume('}')) {
+      --depth_;
+      return Json(std::move(object));
+    }
+    for (;;) {
+      skip_whitespace();
+      auto key = parse_raw_string();
+      if (!key.has_value()) return std::nullopt;
+      skip_whitespace();
+      if (!consume(':')) return std::nullopt;
+      auto value = parse_value();
+      if (!value.has_value()) return std::nullopt;
+      object.emplace_back(std::move(*key), std::move(*value));
+      skip_whitespace();
+      if (consume('}')) {
+        --depth_;
+        return Json(std::move(object));
+      }
+      if (!consume(',')) return std::nullopt;
+    }
+  }
+
+  static constexpr int kMaxDepth = 128;
+
+  std::string_view text_;
+  std::size_t position_ = 0;
+  int depth_ = 0;
+};
+
+/// One seeded mutation of `text`: byte flips (biased toward the bytes the
+/// grammar branches on), a splice from another corpus document, a truncation,
+/// nesting pushed to either side of the parser's depth limit, or whitespace
+/// and its near misses (other controls, NEL, NBSP) inserted at a random spot.
+std::string mutate(std::string text, const std::vector<std::string>& corpus, util::Rng& rng) {
+  static constexpr std::string_view kGrammarBytes = "{}[]\",:-+.eE0123456789 \t\n\v\f\r\\/untfl";
+  const auto position = [&](std::size_t size) {
+    return static_cast<std::size_t>(rng.below(size + 1));
+  };
+  switch (rng.below(6)) {
+    case 0: {  // byte flips
+      const std::uint64_t flips = 1 + rng.below(4);
+      for (std::uint64_t i = 0; i < flips && !text.empty(); ++i) {
+        const std::size_t at = static_cast<std::size_t>(rng.below(text.size()));
+        text[at] = rng.below(2) == 0
+                       ? kGrammarBytes[static_cast<std::size_t>(rng.below(kGrammarBytes.size()))]
+                       : static_cast<char>(rng.below(256));
+      }
+      return text;
+    }
+    case 1: {  // splice a slice of another document over a slice of this one
+      const std::string& donor = corpus[static_cast<std::size_t>(rng.below(corpus.size()))];
+      const std::size_t from = position(donor.size());
+      const std::size_t length = static_cast<std::size_t>(rng.below(donor.size() - from + 1));
+      const std::size_t at = position(text.size());
+      const std::size_t replaced = static_cast<std::size_t>(rng.below(text.size() - at + 1));
+      return text.replace(at, replaced, donor, from, length);
+    }
+    case 2:  // truncation
+      return text.substr(0, position(text.size()));
+    case 3: {  // wrap the whole document in nesting around the depth limit
+      const auto depth = static_cast<std::size_t>(120 + rng.below(16));
+      const char open = rng.below(2) == 0 ? '[' : '{';
+      std::string wrapped;
+      for (std::size_t i = 0; i < depth; ++i) wrapped += open == '[' ? "[" : "{\"k\":";
+      wrapped += text;
+      wrapped += std::string(depth, open == '[' ? ']' : '}');
+      return wrapped;
+    }
+    case 4: {  // whitespace, or a byte that only looks like it
+      static constexpr std::string_view kSpaceLike = " \t\n\v\f\r\x08\x0e\x1c\x1f\x85\xa0";
+      const std::size_t at = position(text.size());
+      const std::uint64_t count = 1 + rng.below(3);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        text.insert(at, 1, kSpaceLike[static_cast<std::size_t>(rng.below(kSpaceLike.size()))]);
+      }
+      return text;
+    }
+    default: {  // an unbalanced run of openers spliced in mid-document
+      const std::size_t at = position(text.size());
+      return text.insert(at, std::string(static_cast<std::size_t>(1 + rng.below(200)),
+                                         rng.below(2) == 0 ? '[' : '{'));
+    }
+  }
+}
+
+TEST_F(ServiceFixture, JsonParserFuzzMatchesReference) {
+  AppstoreService service(*generated_->store, ServicePolicy{});
+  service.set_day(60);
+  const auto body = [&](std::string target) {
+    net::HttpRequest request;
+    request.target = std::move(target);
+    request.headers["X-Client-Id"] = "proxy-eu-1";
+    const net::HttpResponse response = service.respond(request);
+    EXPECT_EQ(response.status, 200) << request.target;
+    return response.body;
+  };
+  std::string comments;
+  for (std::uint32_t app = 0; app < generated_->store->apps().size(); ++app) {
+    comments = body(util::format("/api/v1/app/{}/comments?page=0", app));
+    if (parse_json(comments)->at("comments").as_array().size() >= 3) break;
+  }
+  const std::vector<std::string> corpus = {
+      body("/api/v1/app/0"),
+      comments,
+      body("/api/v1/query?kind=top_k_downloads&filter=day>=10+and+day<=40&partial=1"),
+      body("/api/v1/query?kind=pareto_share"),
+  };
+  ASSERT_TRUE(parse_json(corpus[2])->at("partial").as_bool());
+
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 0; seed < 10'000; ++seed) {
+    util::Rng rng(seed);
+    std::string input = corpus[seed % corpus.size()];
+    const std::uint64_t rounds = 1 + rng.below(3);
+    for (std::uint64_t round = 0; round < rounds; ++round) input = mutate(input, corpus, rng);
+
+    const std::optional<Json> parsed = parse_json(input);
+    const std::optional<Json> reference = ReferenceParser(input).parse();
+    ASSERT_EQ(parsed.has_value(), reference.has_value()) << "seed " << seed << ": " << input;
+    if (!parsed.has_value()) continue;
+    ++accepted;
+    const std::string text = parsed->dump();
+    ASSERT_EQ(text, reference->dump()) << "seed " << seed;
+    const std::optional<Json> again = parse_json(text);
+    ASSERT_TRUE(again.has_value()) << "seed " << seed;
+    ASSERT_TRUE(*again == *parsed) << "seed " << seed;
+  }
+  // Both outcomes must be exercised for the comparison to mean anything.
+  EXPECT_GT(accepted, 500u);
+  EXPECT_LT(accepted, 9'500u);
+}
 
 }  // namespace
 }  // namespace appstore::crawlersim

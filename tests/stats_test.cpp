@@ -2,8 +2,11 @@
 // alias sampling, Zipf, power-law fitting, correlation, distances, Pareto.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <vector>
 
 #include "stats/alias.hpp"
 #include "stats/bootstrap.hpp"
@@ -15,6 +18,7 @@
 #include "stats/pareto.hpp"
 #include "stats/powerlaw.hpp"
 #include "stats/zipf.hpp"
+#include "util/rng.hpp"
 
 namespace appstore::stats {
 namespace {
@@ -427,6 +431,35 @@ TEST(Pareto, TopShareKnown) {
   std::vector<double> counts = {91, 1, 1, 1, 1, 1, 1, 1, 1, 1};
   EXPECT_NEAR(top_share(counts, 0.10), 0.91, 1e-12);
   EXPECT_NEAR(top_share(counts, 1.0), 1.0, 1e-12);
+}
+
+TEST(Pareto, TopSharesMatchPerFractionSorts) {
+  // Reference: one descending sort and prefix walk per fraction.
+  const auto reference = [](std::vector<double> counts, double fraction) {
+    std::sort(counts.begin(), counts.end(), std::greater<>());
+    double total = 0.0;
+    for (const double c : counts) total += c;
+    if (counts.empty() || total <= 0.0 || fraction <= 0.0) return 0.0;
+    auto k = static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(counts.size())));
+    k = std::clamp<std::size_t>(k, 1, counts.size());
+    double top = 0.0;
+    for (std::size_t i = 0; i < k; ++i) top += counts[i];
+    return top / total;
+  };
+  util::Rng rng(17);
+  const std::vector<double> fractions = {0.01, 0.05, 0.10, 0.20, 0.50, 1.0, 1.5, 0.0, -0.2, 1e-9};
+  for (const std::size_t n : {0u, 1u, 7u, 100u, 613u}) {
+    std::vector<double> counts(n);
+    for (double& c : counts) {
+      c = static_cast<double>(rng.below(1000)) / (1.0 + static_cast<double>(rng.below(9)));
+    }
+    const std::vector<double> shares = top_shares(counts, fractions);
+    ASSERT_EQ(shares.size(), fractions.size());
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+      EXPECT_EQ(shares[i], reference(counts, fractions[i])) << "n=" << n << " f=" << fractions[i];
+      EXPECT_EQ(top_share(counts, fractions[i]), shares[i]);
+    }
+  }
 }
 
 TEST(Pareto, ShareCurveMonotone) {

@@ -6,8 +6,10 @@
 #   tsan     ThreadSanitizer preset (parallel engine, server pool, live store)
 #   chaos    corruption-fuzz labels, then the model-session and fit suites
 #            (hashed fetch-at-most-once probing), the query suite (bitmap
-#            word and tail arithmetic at block ends), and the worker-pool
-#            server and load suites (parked-connection ownership), under ASan
+#            word and tail arithmetic at block ends), the worker-pool
+#            server and load suites (parked-connection ownership), and the
+#            crawler suite (JSON number writer and seeded parser fuzz),
+#            under ASan
 #   load     worker-pool server + load-harness labels (default build)
 #   query    query-engine label (default build)
 #   recovery durability suite (WAL, checkpoints, crash fuzz) under ASan,
@@ -57,11 +59,11 @@ if want tsan; then
 fi
 
 if want chaos; then
-  banner "chaos: corruption fuzz + model sessions + query kernels + server pool under ASan"
+  banner "chaos: corruption fuzz + model sessions + query kernels + server pool + JSON codec under ASan"
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j"$JOBS"
   ctest --test-dir build-asan -L chaos --output-on-failure
-  ctest --test-dir build-asan -R '^(models_test|fit_test|query_test|server_pool_test|load_test)$' --output-on-failure
+  ctest --test-dir build-asan -R '^(models_test|fit_test|query_test|server_pool_test|load_test|crawler_test)$' --output-on-failure
 fi
 
 if want load; then
