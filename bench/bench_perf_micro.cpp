@@ -75,10 +75,12 @@ void BM_ModelSessionStep(benchmark::State& state) {
   const auto kind = static_cast<models::ModelKind>(state.range(0));
   const auto model = models::make_model(kind, params);
   util::Rng rng(2);
-  auto session = model->new_session();
+  // A new user every d = 10 draws on one session reset between users, as
+  // DownloadModel::generate runs them: a step must not pay O(A) per user.
+  const auto session = model->new_session();
   std::uint64_t steps = 0;
   for (auto _ : state) {
-    if (steps++ % 32 == 0 || session->exhausted()) session = model->new_session();
+    if (steps++ % 10 == 0 || session->exhausted()) session->reset();
     benchmark::DoNotOptimize(session->next(rng));
   }
   state.SetLabel(std::string(to_string(kind)));

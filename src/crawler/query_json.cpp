@@ -95,13 +95,17 @@ constexpr std::size_t kMaxListItems = 64;
                                                   std::move(text), is_text));
 }
 
-[[nodiscard]] query::QuerySpec spec_from_params(
+[[nodiscard]] QueryRequest request_from_params(
     const std::map<std::string, std::string>& params) {
   const auto kind = params.find("kind");
   if (kind == params.end()) {
     throw QueryError("bad_query", "query: 'kind' is required");
   }
-  query::QuerySpec spec;
+  QueryRequest request;
+  if (const auto it = params.find("partial"); it != params.end()) {
+    request.partial = it->second == "1" || it->second == "true";
+  }
+  query::QuerySpec& spec = request.spec;
   spec.kind = query::parse_aggregate_kind(kind->second);
   if (const auto it = params.find("filter"); it != params.end()) {
     spec.filter = query::parse_filter(it->second);
@@ -121,7 +125,7 @@ constexpr std::size_t kMaxListItems = 64;
   if (const auto it = params.find("points"); it != params.end()) {
     spec.points = parse_count(it->second, "points");
   }
-  return spec;
+  return request;
 }
 
 [[nodiscard]] std::size_t json_count(const Json& value, std::string_view name) {
@@ -132,7 +136,7 @@ constexpr std::size_t kMaxListItems = 64;
   return static_cast<std::size_t>(value.as_number());
 }
 
-[[nodiscard]] query::QuerySpec spec_from_body(const std::string& body) {
+[[nodiscard]] QueryRequest request_from_body(const std::string& body) {
   const std::optional<Json> parsed = parse_json(body);
   if (!parsed.has_value() || !parsed->is_object()) {
     throw QueryError("bad_query", "query: body is not a JSON object");
@@ -142,7 +146,11 @@ constexpr std::size_t kMaxListItems = 64;
   if (kind == nullptr || !kind->is_string()) {
     throw QueryError("bad_query", "query: 'kind' is required");
   }
-  query::QuerySpec spec;
+  QueryRequest request;
+  if (const Json* flag = root.find("partial"); flag != nullptr) {
+    request.partial = flag->is_bool() && flag->as_bool();
+  }
+  query::QuerySpec& spec = request.spec;
   spec.kind = query::parse_aggregate_kind(kind->as_string());
   if (const Json* filter = root.find("filter"); filter != nullptr && !filter->is_null()) {
     if (filter->is_string()) {
@@ -179,28 +187,20 @@ constexpr std::size_t kMaxListItems = 64;
   if (const Json* points = root.find("points"); points != nullptr) {
     spec.points = json_count(*points, "points");
   }
-  return spec;
+  return request;
 }
 
 }  // namespace
 
 query::Expr expr_from_json(const Json& node) { return expr_from_json_node(node, 0); }
 
-bool wants_partial(const net::HttpRequest& request) {
-  if (request.method == "POST") {
-    const std::optional<Json> parsed = parse_json(request.body);
-    if (!parsed.has_value() || !parsed->is_object()) return false;
-    const Json* flag = parsed->find("partial");
-    return flag != nullptr && flag->is_bool() && flag->as_bool();
-  }
-  const auto params = request.query();
-  const auto it = params.find("partial");
-  return it != params.end() && (it->second == "1" || it->second == "true");
+QueryRequest read_query_request(const net::HttpRequest& request) {
+  if (request.method == "POST") return request_from_body(request.body);
+  return request_from_params(request.query());
 }
 
 query::QuerySpec parse_query_request(const net::HttpRequest& request) {
-  if (request.method == "POST") return spec_from_body(request.body);
-  return spec_from_params(request.query());
+  return read_query_request(request).spec;
 }
 
 Json query_partial_json(const query::PartialAggregate& partial, market::Day day) {

@@ -26,9 +26,23 @@
 
 namespace appstore::crawlersim {
 
-/// Parses a /api/query request (GET query-string or POST JSON body) into a
-/// QuerySpec. Throws query::QueryError("bad_query" / "bad_filter") on any
-/// malformed input.
+/// A parsed /api/v1/query request.
+struct QueryRequest {
+  query::QuerySpec spec;
+  /// True when the request asks for the mergeable partial form instead of
+  /// the finalized answer: GET ?partial=1 (or =true), or a `"partial": true`
+  /// member in the POST body. The flag lives in the query string / body —
+  /// not a header — so the per-day response cache (keyed on target + body)
+  /// keeps partial and finalized answers distinct.
+  bool partial = false;
+};
+
+/// Parses a /api/query request (GET query-string or POST JSON body, one
+/// parse either way) into its spec and partial flag. Throws
+/// query::QueryError("bad_query" / "bad_filter") on any malformed input.
+[[nodiscard]] QueryRequest read_query_request(const net::HttpRequest& request);
+
+/// read_query_request(request).spec, for callers that ignore the flag.
 [[nodiscard]] query::QuerySpec parse_query_request(const net::HttpRequest& request);
 
 /// Structured JSON filter -> expression AST (exposed for tests).
@@ -36,13 +50,6 @@ namespace appstore::crawlersim {
 
 /// Renders one engine result as the response document.
 [[nodiscard]] Json query_result_json(const query::QueryResult& result, market::Day day);
-
-/// True when the request asks for the mergeable partial form instead of the
-/// finalized answer: GET ?partial=1 (or =true), or a `"partial": true`
-/// member in the POST body. The flag lives in the query string / body — not
-/// a header — so the per-day response cache (keyed on target + body) keeps
-/// partial and finalized answers distinct.
-[[nodiscard]] bool wants_partial(const net::HttpRequest& request);
 
 /// Renders a shard's partial aggregate. Counts are [app, count] pairs and
 /// affinity samples are [user, comments, value-per-depth...] rows (NaN as

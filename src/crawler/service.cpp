@@ -379,14 +379,15 @@ net::HttpResponse AppstoreService::handle_cacheable(const ServiceRequest& contex
 
 net::HttpResponse AppstoreService::handle_query(const ServiceRequest& context) const {
   try {
-    const query::QuerySpec spec = parse_query_request(*context.http);
+    const QueryRequest request = read_query_request(*context.http);
     // Partial mode (?partial=1 / "partial": true): the mergeable shard
     // fragment a federation gateway recombines (see query/federate.hpp).
-    if (wants_partial(*context.http)) {
-      const query::PartialAggregate partial = query_engine_->run_partial(spec, context.day);
+    if (request.partial) {
+      const query::PartialAggregate partial =
+          query_engine_->run_partial(request.spec, context.day);
       return net::HttpResponse::json(200, query_partial_json(partial, context.day).dump());
     }
-    const query::QueryResult result = query_engine_->run(spec, context.day);
+    const query::QueryResult result = query_engine_->run(request.spec, context.day);
     return net::HttpResponse::json(200, query_result_json(result, context.day).dump());
   } catch (const query::QueryError& error) {
     return error_response(400, error.code(), error.what());

@@ -1,8 +1,8 @@
 #include "models/app_clustering_model.hpp"
 
 #include <cmath>
+#include <map>
 #include <stdexcept>
-#include <string>
 
 #include "models/zipf_amo_model.hpp"  // FetchedSet, draw_unfetched
 
@@ -13,20 +13,21 @@ namespace {
 class ClusteringSession final : public Session {
  public:
   explicit ClusteringSession(const AppClusteringModel& model)
-      : model_(model), cluster_fetched_(model.layout().cluster_count(), 0) {}
+      : model_(model),
+        fetched_(model.params().app_count),
+        cluster_fetched_(model.layout().cluster_count(), 0) {}
 
   [[nodiscard]] std::uint32_t next(util::Rng& rng) override {
     const auto& layout = model_.layout();
+    const auto global_draw = [&] {
+      return draw_unfetched(rng, fetched_, [this](util::Rng& r) {
+        return static_cast<std::uint32_t>(model_.global_sampler().sample_index(r));
+      });
+    };
     std::uint32_t app = 0;
     if (fetched_.size() == 0 || !rng.chance(model_.params().p)) {
       // Step 1 / step 2.2: global ZG draw, fetch-at-most-once.
-      app = draw_unfetched(
-          rng, fetched_, model_.params().app_count,
-          static_cast<std::uint32_t>(fetched_.size()),
-          [this](util::Rng& r) {
-            return static_cast<std::uint32_t>(model_.global_sampler().sample_index(r));
-          },
-          [](std::uint32_t index) { return index; });
+      app = global_draw();
     } else {
       // Step 2.1: revisit the cluster of a uniformly-chosen previous
       // download. If that cluster is fully fetched, re-anchor on another
@@ -39,26 +40,12 @@ class ClusteringSession final : public Session {
         const std::uint32_t cluster = layout.cluster_of(anchor);
         const auto& members = layout.members(cluster);
         if (cluster_fetched_[cluster] >= members.size()) continue;
-        const auto& sampler =
-            model_.sampler_for_size(static_cast<std::uint32_t>(members.size()));
-        app = draw_unfetched(
-            rng, fetched_, static_cast<std::uint32_t>(members.size()),
-            cluster_fetched_[cluster],
-            [&sampler](util::Rng& r) {
-              return static_cast<std::uint32_t>(sampler.sample_index(r));
-            },
-            [&members](std::uint32_t index) { return members[index]; });
+        const auto& sampler = model_.sampler_for_cluster(cluster);
+        app = draw_unfetched_member(rng, fetched_, members, cluster_fetched_[cluster],
+                                    [&sampler](util::Rng& r) { return sampler.sample_index(r); });
         break;
       }
-      if (app == model_.params().app_count) {
-        app = draw_unfetched(
-            rng, fetched_, model_.params().app_count,
-            static_cast<std::uint32_t>(fetched_.size()),
-            [this](util::Rng& r) {
-              return static_cast<std::uint32_t>(model_.global_sampler().sample_index(r));
-            },
-            [](std::uint32_t index) { return index; });
-      }
+      if (app == model_.params().app_count) app = global_draw();
     }
     fetched_.insert(app);
     ++cluster_fetched_[layout.cluster_of(app)];
@@ -66,14 +53,22 @@ class ClusteringSession final : public Session {
   }
 
   [[nodiscard]] bool exhausted() const noexcept override {
-    return fetched_.size() >= model_.params().app_count;
+    return fetched_.size() >= fetched_.universe();
+  }
+
+  void reset() noexcept override {
+    const auto& layout = model_.layout();
+    for (std::size_t i = 0; i < fetched_.size(); ++i) {
+      cluster_fetched_[layout.cluster_of(fetched_[i])] = 0;
+    }
+    fetched_.reset();
   }
 
  private:
   const AppClusteringModel& model_;
   FetchedSet fetched_;
   /// Fetched apps per cluster: a saturated anchor cluster is an O(1) test,
-  /// and draw_unfetched's fallback needs no count of its own.
+  /// and the member fallback needs no count of its own.
   std::vector<std::uint32_t> cluster_fetched_;
 };
 
@@ -93,20 +88,21 @@ AppClusteringModel::AppClusteringModel(ModelParams params, ClusterLayout layout)
   // Eager per-size Zc samplers: a layout has few distinct cluster sizes
   // (round-robin: at most two), and building them here keeps the model
   // immutable — concurrent sessions share it without synchronization.
+  std::map<std::uint32_t, const stats::ZipfSampler*> by_size;
+  by_cluster_.reserve(layout_.cluster_count());
   for (const auto& members : layout_.all_members()) {
     const auto size = static_cast<std::uint32_t>(members.size());
-    if (size == 0 || by_size_.contains(size)) continue;
-    by_size_.emplace(size, std::make_unique<const stats::ZipfSampler>(size, params_.zc));
+    const stats::ZipfSampler* sampler = nullptr;
+    if (size != 0) {
+      const stats::ZipfSampler*& shared = by_size[size];
+      if (shared == nullptr) {
+        cluster_samplers_.push_back(std::make_unique<const stats::ZipfSampler>(size, params_.zc));
+        shared = cluster_samplers_.back().get();
+      }
+      sampler = shared;
+    }
+    by_cluster_.push_back(sampler);
   }
-}
-
-const stats::ZipfSampler& AppClusteringModel::sampler_for_size(std::uint32_t size) const {
-  const auto it = by_size_.find(size);
-  if (it == by_size_.end()) {
-    throw std::invalid_argument("AppClusteringModel: no cluster of size " +
-                                std::to_string(size));
-  }
-  return *it->second;
 }
 
 std::unique_ptr<Session> AppClusteringModel::new_session() const {

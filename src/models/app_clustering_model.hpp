@@ -15,8 +15,8 @@
 // most draws recirculate inside already-visited clusters.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "models/model.hpp"
 #include "models/params.hpp"
@@ -28,7 +28,7 @@ namespace appstore::models {
 /// the constructor (a layout has few distinct sizes — round-robin has at most
 /// two), so the model is immutable after construction and concurrent sessions
 /// of the SAME instance need no synchronization. Sessions themselves stay
-/// single-user/single-thread.
+/// single-threaded.
 class AppClusteringModel final : public DownloadModel {
  public:
   /// `layout.app_count()` must equal `params.app_count`. `params.cluster_count`
@@ -50,16 +50,22 @@ class AppClusteringModel final : public DownloadModel {
   /// Global ZG sampler (shared by sessions).
   [[nodiscard]] const stats::ZipfSampler& global_sampler() const noexcept { return *global_; }
 
-  /// Per-cluster Zc sampler for a cluster size occurring in the layout
-  /// (shared by size; built eagerly at construction). Throws
-  /// std::invalid_argument for a size no cluster has.
-  [[nodiscard]] const stats::ZipfSampler& sampler_for_size(std::uint32_t size) const;
+  /// The Zc sampler over a cluster's members (shared by clusters of equal
+  /// size; built eagerly at construction): one pointer load per draw.
+  /// Precondition: the cluster is not empty.
+  [[nodiscard]] const stats::ZipfSampler& sampler_for_cluster(
+      std::uint32_t cluster) const noexcept {
+    return *by_cluster_[cluster];
+  }
 
  private:
   ModelParams params_;
   ClusterLayout layout_;
   std::shared_ptr<const stats::ZipfSampler> global_;
-  std::map<std::uint32_t, std::unique_ptr<const stats::ZipfSampler>> by_size_;
+  /// One Zc sampler per distinct cluster size.
+  std::vector<std::unique_ptr<const stats::ZipfSampler>> cluster_samplers_;
+  /// The sampler of each cluster (null for an empty cluster).
+  std::vector<const stats::ZipfSampler*> by_cluster_;
 };
 
 }  // namespace appstore::models

@@ -14,8 +14,9 @@ Workload DownloadModel::generate(util::Rng& rng, bool record_sequences) const {
   Workload workload;
   workload.downloads.assign(p.app_count, 0);
 
+  const auto session = new_session();
   for (std::uint64_t user = 0; user < p.user_count; ++user) {
-    const auto session = new_session();
+    session->reset();
     const std::uint64_t count = realized_downloads(p.downloads_per_user, p.app_count, rng);
     for (std::uint64_t k = 0; k < count && !session->exhausted(); ++k) {
       const std::uint32_t app = session->next(rng);

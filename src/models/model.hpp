@@ -20,8 +20,8 @@
 
 namespace appstore::models {
 
-/// Incremental per-user download generator. Sessions are single-user and not
-/// thread-safe; they hold the user's fetch-at-most-once history.
+/// Incremental per-user download generator. Sessions are single-threaded and
+/// hold one user's fetch-at-most-once history at a time.
 class Session {
  public:
   virtual ~Session() = default;
@@ -32,6 +32,11 @@ class Session {
 
   /// True when the user cannot download anything new (all apps fetched).
   [[nodiscard]] virtual bool exhausted() const noexcept = 0;
+
+  /// Forgets the user's history, after which the session draws exactly as a
+  /// fresh new_session() would. O(d) in the apps fetched since the last
+  /// reset, so one session serves every user a worker simulates.
+  virtual void reset() noexcept = 0;
 };
 
 enum class ModelKind : std::uint8_t { kZipf, kZipfAtMostOnce, kAppClustering };

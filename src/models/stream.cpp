@@ -105,21 +105,26 @@ StreamSlice generate_stream_slice(const DownloadModel& model, util::Rng& rng,
   // Phase 3 (parallel): per-user download sequences. Each user replays its
   // derived stream (count draw first, then session draws), so the sequence
   // is independent of sharding. `generated[u]` can fall short of needed[u]
-  // only if the session exhausts the whole store.
+  // only if the session exhausts the whole store. One session per shard,
+  // reset between users, keeps the per-user cost O(d) at any store size.
   std::vector<std::uint32_t> sequence(offsets[users]);
   std::vector<std::uint32_t> generated(users, 0);
-  par::parallel_for(users, par_options, [&](std::uint64_t user) {
-    if (needed[user] == 0 || !owns(user)) return;
-    util::Rng user_rng = util::rng::derive(base, user);
-    (void)DownloadModel::realized_downloads(params.downloads_per_user, params.app_count,
-                                            user_rng);  // re-consume the count draw
+  par::for_shards(users, par_options, [&](std::uint64_t begin, std::uint64_t end,
+                                          std::size_t /*shard*/) {
     const auto session = model.new_session();
-    std::uint32_t produced = 0;
-    while (produced < needed[user] && !session->exhausted()) {
-      sequence[offsets[user] + produced] = session->next(user_rng);
-      ++produced;
+    for (std::uint64_t user = begin; user < end; ++user) {
+      if (needed[user] == 0 || !owns(user)) continue;
+      util::Rng user_rng = util::rng::derive(base, user);
+      (void)DownloadModel::realized_downloads(params.downloads_per_user, params.app_count,
+                                              user_rng);  // re-consume the count draw
+      session->reset();
+      std::uint32_t produced = 0;
+      while (produced < needed[user] && !session->exhausted()) {
+        sequence[offsets[user] + produced] = session->next(user_rng);
+        ++produced;
+      }
+      generated[user] = produced;
     }
-    generated[user] = produced;
   });
   if (filtered) {
     // A slice cannot see other shards' exhaustion, so union arrival indexes

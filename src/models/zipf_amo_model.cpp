@@ -6,25 +6,16 @@
 
 namespace appstore::models {
 
-void FetchedSet::insert(std::uint32_t app) {
-  fetched_.push_back(app);
-  if (fetched_.size() * 2 > slots_.size()) {
-    // Double (16 slots at first) and rehash from the fetch order.
-    bits_ = std::max(bits_ + 1, 4u);
-    slots_.assign(std::size_t{1} << bits_, 0);
-    for (std::size_t position = 0; position < fetched_.size(); ++position) {
-      place(static_cast<std::uint32_t>(position));
-    }
-  } else {
-    place(static_cast<std::uint32_t>(fetched_.size() - 1));
+std::uint32_t FetchedSet::nth_unfetched(std::uint32_t target) const {
+  // Every fetched id at or below the candidate pushes it one app further.
+  std::vector<std::uint32_t> sorted = fetched_;
+  std::sort(sorted.begin(), sorted.end());
+  std::uint32_t app = target;
+  for (const std::uint32_t fetched : sorted) {
+    if (fetched > app) break;
+    ++app;
   }
-}
-
-void FetchedSet::place(std::uint32_t position) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = home(fetched_[position]);
-  while (slots_[slot] != 0) slot = (slot + 1) & mask;
-  slots_[slot] = position + 1;
+  return app;
 }
 
 namespace {
@@ -32,24 +23,24 @@ namespace {
 class AmoSession final : public Session {
  public:
   AmoSession(std::shared_ptr<const stats::ZipfSampler> global, std::uint32_t app_count)
-      : global_(std::move(global)), app_count_(app_count) {}
+      : global_(std::move(global)), fetched_(app_count) {}
 
   [[nodiscard]] std::uint32_t next(util::Rng& rng) override {
-    const std::uint32_t app = draw_unfetched(
-        rng, fetched_, app_count_, static_cast<std::uint32_t>(fetched_.size()),
-        [this](util::Rng& r) { return static_cast<std::uint32_t>(global_->sample_index(r)); },
-        [](std::uint32_t index) { return index; });
+    const std::uint32_t app = draw_unfetched(rng, fetched_, [this](util::Rng& r) {
+      return static_cast<std::uint32_t>(global_->sample_index(r));
+    });
     fetched_.insert(app);
     return app;
   }
 
   [[nodiscard]] bool exhausted() const noexcept override {
-    return fetched_.size() >= app_count_;
+    return fetched_.size() >= fetched_.universe();
   }
+
+  void reset() noexcept override { fetched_.reset(); }
 
  private:
   std::shared_ptr<const stats::ZipfSampler> global_;
-  std::uint32_t app_count_;
   FetchedSet fetched_;
 };
 

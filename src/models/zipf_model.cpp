@@ -17,6 +17,8 @@ class ZipfSession final : public Session {
 
   [[nodiscard]] bool exhausted() const noexcept override { return false; }
 
+  void reset() noexcept override {}
+
  private:
   std::shared_ptr<const stats::ZipfSampler> global_;
 };

@@ -1,5 +1,7 @@
 #include "par/pool.hpp"
 
+#include <algorithm>
+
 namespace appstore::par {
 
 namespace {
@@ -47,28 +49,35 @@ void ThreadPool::drain(const std::shared_ptr<Job>& job) {
       // Last shard: wake the caller. The lock orders the notify against the
       // caller's predicate check.
       const std::lock_guard<std::mutex> lock(mutex_);
-      done_cv_.notify_all();
+      job->done_cv.notify_one();
     }
   }
 }
 
+std::shared_ptr<ThreadPool::Job> ThreadPool::adoptable_job() const {
+  for (const auto& job : jobs_) {
+    if (job->next.load(std::memory_order_relaxed) >= job->shard_count) continue;
+    if (job->max_participants != 0 && job->adopters >= job->max_participants) continue;
+    return job;
+  }
+  return nullptr;
+}
+
 void ThreadPool::worker_loop() {
   t_in_pool_worker = true;
-  std::uint64_t seen_generation = 0;
   for (;;) {
     std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      // A job whose tickets ran out is never adoptable again, so a worker
+      // returning from drain() cannot re-adopt the job it just finished.
       work_cv_.wait(lock, [&] {
-        return stopping_ || (job_ != nullptr && generation_ != seen_generation);
+        if (stopping_) return true;
+        job = adoptable_job();
+        return job != nullptr;
       });
       if (stopping_) return;
-      seen_generation = generation_;
-      if (job_->max_participants != 0 && job_->adopters >= job_->max_participants) {
-        continue;  // job is at its participant cap; wait for the next one
-      }
-      ++job_->adopters;
-      job = job_;  // shared_ptr keeps the job alive past the caller's return
+      ++job->adopters;  // job stays alive past its caller's return
     }
     drain(job);
   }
@@ -93,8 +102,7 @@ void ThreadPool::for_shards(std::size_t shard_count,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job->adopters = 1;  // the caller
-    job_ = job;
-    ++generation_;
+    jobs_.push_back(job);
   }
   work_cv_.notify_all();
 
@@ -102,10 +110,10 @@ void ThreadPool::for_shards(std::size_t shard_count,
 
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] {
+    job->done_cv.wait(lock, [&] {
       return job->done.load(std::memory_order_acquire) == job->shard_count;
     });
-    job_ = nullptr;
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
     if (job->error) {
       std::exception_ptr error = job->error;
       lock.unlock();
@@ -116,9 +124,12 @@ void ThreadPool::for_shards(std::size_t shard_count,
 
 std::size_t ThreadPool::queued_shards() const noexcept {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (job_ == nullptr) return 0;
-  const std::size_t next = job_->next.load(std::memory_order_relaxed);
-  return next >= job_->shard_count ? 0 : job_->shard_count - next;
+  std::size_t queued = 0;
+  for (const auto& job : jobs_) {
+    const std::size_t next = job->next.load(std::memory_order_relaxed);
+    if (next < job->shard_count) queued += job->shard_count - next;
+  }
+  return queued;
 }
 
 ThreadPool& global_pool() {

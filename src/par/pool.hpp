@@ -52,8 +52,8 @@ class ThreadPool {
   void for_shards(std::size_t shard_count, const std::function<void(std::size_t)>& fn,
                   std::size_t max_participants = 0);
 
-  /// Shards of the currently-running job not yet claimed by any thread
-  /// (0 when idle). Snapshot for the par_pool_queue_depth gauge.
+  /// Shards of the running jobs not yet claimed by any thread (0 when
+  /// idle). Snapshot for the par_pool_queue_depth gauge.
   [[nodiscard]] std::size_t queued_shards() const noexcept;
 
  private:
@@ -65,17 +65,22 @@ class ThreadPool {
     std::atomic<std::size_t> next{0};  ///< ticket: next unclaimed shard
     std::atomic<std::size_t> done{0};  ///< completed shards
     std::exception_ptr error;          ///< first failure, guarded by pool mutex
+    /// The caller waits here, so a completion wakes only its own caller.
+    std::condition_variable done_cv;
   };
 
   void worker_loop();
   /// Claims and executes shards of `job` until the tickets run out.
   void drain(const std::shared_ptr<Job>& job);
+  /// The oldest active job with unclaimed shards and room for another
+  /// participant, or null. Caller holds mutex_.
+  [[nodiscard]] std::shared_ptr<Job> adoptable_job() const;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< workers: new job or shutdown
-  std::condition_variable done_cv_;  ///< caller: job completion
-  std::shared_ptr<Job> job_;         ///< current job (null when idle)
-  std::uint64_t generation_ = 0;     ///< bumped per job so workers adopt once
+  /// Active jobs, oldest first: concurrent callers each post one, and each
+  /// removes only its own once it completed.
+  std::vector<std::shared_ptr<Job>> jobs_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

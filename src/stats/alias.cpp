@@ -54,9 +54,4 @@ AliasTable::AliasTable(std::span<const double> weights) {
   for (const std::uint32_t i : small) probability_[i] = 1.0;
 }
 
-std::size_t AliasTable::sample(util::Rng& rng) const noexcept {
-  const std::size_t column = static_cast<std::size_t>(rng.below(probability_.size()));
-  return rng.uniform() < probability_[column] ? column : alias_[column];
-}
-
 }  // namespace appstore::stats

@@ -26,8 +26,12 @@ class AliasTable {
   [[nodiscard]] std::size_t size() const noexcept { return probability_.size(); }
   [[nodiscard]] bool empty() const noexcept { return probability_.empty(); }
 
-  /// Draws one index with probability proportional to its weight.
-  [[nodiscard]] std::size_t sample(util::Rng& rng) const noexcept;
+  /// Draws one index with probability proportional to its weight. Inline:
+  /// every simulated download is one or more alias draws.
+  [[nodiscard]] std::size_t sample(util::Rng& rng) const noexcept {
+    const auto column = static_cast<std::size_t>(rng.below(probability_.size()));
+    return rng.uniform() < probability_[column] ? column : alias_[column];
+  }
 
   /// Normalized probability of index i (for tests / analytic checks).
   [[nodiscard]] double probability_of(std::size_t i) const noexcept {

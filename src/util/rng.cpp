@@ -5,23 +5,6 @@
 
 namespace appstore::util {
 
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  if (bound <= 1) return 0;
-  // Lemire's method: multiply-shift with rejection to remove modulo bias.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double Rng::normal() noexcept {
   // Marsaglia polar method.
   for (;;) {

@@ -67,7 +67,23 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). Lemire's nearly-divisionless method.
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
+  /// Inline: the Monte Carlo models call it several times per download.
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept {
+    if (bound <= 1) return 0;
+    // Multiply-shift with rejection to remove modulo bias.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept {

@@ -276,6 +276,75 @@ class ServiceFixture : public ::testing::Test {
   std::unique_ptr<synth::GeneratedStore> generated_;
 };
 
+/// ServiceFixture's shape with d = 10 downloads per user instead of ~125.
+/// There, ~45 users each fetch nearly all ~120 apps, so popularity is flat
+/// (pareto_share returns share == fraction) and no test on it can see a
+/// rank-order bug. Here the Zipf head dominates. ServiceFixture stays as it
+/// is: the JSON fuzz corpus is built from it.
+class SkewedServiceFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    synth::StoreProfile profile = synth::anzhi();
+    profile.free_segment.top_app_share = 0.1;  // U = total / 10
+    synth::GeneratorConfig config;
+    config.app_scale = 0.002;
+    config.download_scale = 2e-6;
+    config.seed = 11;
+    generated_ = std::make_unique<synth::GeneratedStore>(synth::generate(profile, config));
+    service_ = std::make_unique<AppstoreService>(*generated_->store, ServicePolicy{});
+    service_->set_day(60);
+  }
+
+  [[nodiscard]] Json query(std::string method, std::string target, std::string body = {}) {
+    net::HttpRequest request;
+    request.method = std::move(method);
+    request.target = std::move(target);
+    request.body = std::move(body);
+    request.headers["X-Client-Id"] = "proxy-eu-1";
+    const net::HttpResponse response = service_->respond(request);
+    EXPECT_EQ(response.status, 200) << request.target << " " << request.body;
+    return parse_json(response.body).value_or(Json(nullptr));
+  }
+
+  std::unique_ptr<synth::GeneratedStore> generated_;
+  std::unique_ptr<AppstoreService> service_;
+};
+
+TEST_F(SkewedServiceFixture, ParetoShareAndTopKSeeTheSkew) {
+  const Json pareto = query("GET", "/api/v1/query?kind=pareto_share&fractions=0.05");
+  const auto& points = pareto.at("pareto").as_array();
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].at("fraction").as_number(), 0.05);
+  EXPECT_GT(points[0].at("share").as_number(), 0.05);
+
+  const Json top = query("GET", "/api/v1/query?kind=top_k_downloads&k=10");
+  const auto& entries = top.at("top").as_array();
+  ASSERT_EQ(entries.size(), 10u);
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    EXPECT_GT(entries[i - 1].at("downloads").as_u64(), entries[i].at("downloads").as_u64())
+        << "rank " << i;
+  }
+  EXPECT_EQ(entries[0].at("downloads").as_u64(),
+            generated_->store->downloads_of(market::AppId{
+                static_cast<std::uint32_t>(entries[0].at("app").as_u64())}));
+}
+
+TEST_F(SkewedServiceFixture, PostPartialFlagSelectsTheAnswerForm) {
+  const std::string spec = R"("kind": "top_k_downloads", "k": 5)";
+  const Json partial = query("POST", "/api/v1/query", "{" + spec + R"(, "partial": true})");
+  EXPECT_TRUE(partial.at("partial").as_bool());
+  EXPECT_NE(partial.find("counts"), nullptr);
+  EXPECT_EQ(partial.find("top"), nullptr);
+  EXPECT_EQ(partial, query("GET", "/api/v1/query?kind=top_k_downloads&k=5&partial=1"));
+
+  const Json finalized = query("POST", "/api/v1/query", "{" + spec + R"(, "partial": false})");
+  EXPECT_EQ(finalized.find("partial"), nullptr);
+  ASSERT_NE(finalized.find("top"), nullptr);
+  EXPECT_EQ(finalized.at("top").as_array().size(), 5u);
+  EXPECT_EQ(finalized, query("POST", "/api/v1/query", "{" + spec + "}"));
+  EXPECT_EQ(finalized, query("GET", "/api/v1/query?kind=top_k_downloads&k=5"));
+}
+
 TEST_F(ServiceFixture, MetaAndAppEndpoints) {
   ServicePolicy policy;
   AppstoreService service(*generated_->store, policy);

@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 
 #include "models/app_clustering_model.hpp"
 #include "models/model.hpp"
@@ -220,39 +222,95 @@ TEST(ZipfAmo, ExhaustsWhenDemandExceedsApps) {
 
 TEST(DrawUnfetched, FallbackTerminatesAndIsUnfetched) {
   // Sampler always returns app 0, which is fetched: forces the fallback.
-  FetchedSet fetched;
+  FetchedSet fetched(4);
   fetched.insert(0);
   util::Rng rng(9);
   const std::uint32_t app = draw_unfetched(
-      rng, fetched, 4, 1, [](util::Rng&) { return 0u; },
-      [](std::uint32_t index) { return index; }, 4);
+      rng, fetched, [](util::Rng&) { return 0u; }, 4);
   EXPECT_NE(app, 0u);
   EXPECT_LT(app, 4u);
 }
 
-TEST(FetchedSet, IndexSurvivesGrowthAndKeepsFetchOrder) {
-  // Grows the index from empty through several doublings. Apps include both
-  // ends of the id range and ids that share their low bits.
-  std::vector<std::uint32_t> apps = {0u, 0xFFFFFFFEu, 0xFFFFFFFFu, 1u};
-  for (std::uint32_t k = 1; k <= 300; ++k) apps.push_back(k << 20);
-  for (std::uint32_t k = 0; k < 300; ++k) apps.push_back(7 + 13 * k);
+TEST(DrawUnfetched, MemberFallbackStaysInTheCluster) {
+  // Members 10, 20, 30 of a 40-app universe; 10 and 30 are fetched and the
+  // sampler always hits member 0, so the fallback must return 20.
+  FetchedSet fetched(40);
+  fetched.insert(10);
+  fetched.insert(30);
+  fetched.insert(5);  // outside the cluster: not counted
+  const std::vector<std::uint32_t> members = {10, 20, 30};
+  util::Rng rng(9);
+  const std::uint32_t app = draw_unfetched_member(
+      rng, fetched, members, 2, [](util::Rng&) { return std::size_t{0}; }, 4);
+  EXPECT_EQ(app, 20u);
+}
 
-  FetchedSet fetched;
-  EXPECT_FALSE(fetched.contains(0));
-  EXPECT_FALSE(fetched.contains(0xFFFFFFFFu));
+TEST(FetchedSet, WordEdgesFetchOrderAndReset) {
+  // A = 130 spans three words; ids 0, 63, 64 and A-1 sit on word edges.
+  constexpr std::uint32_t kApps = 130;
+  const std::vector<std::uint32_t> apps = {64, 0, kApps - 1, 63, 65, 127, 128, 1};
+  FetchedSet fetched(kApps);
+  EXPECT_EQ(fetched.universe(), kApps);
   for (std::size_t i = 0; i < apps.size(); ++i) {
     fetched.insert(apps[i]);
     ASSERT_EQ(fetched.size(), i + 1);
-    for (std::size_t j = 0; j <= i; ++j) {
-      ASSERT_TRUE(fetched.contains(apps[j])) << "app " << apps[j] << " after " << i + 1;
-      ASSERT_EQ(fetched[j], apps[j]);
+    for (std::uint32_t app = 0; app < kApps; ++app) {
+      const bool inserted =
+          std::find(apps.begin(), apps.begin() + static_cast<std::ptrdiff_t>(i + 1), app) !=
+          apps.begin() + static_cast<std::ptrdiff_t>(i + 1);
+      ASSERT_EQ(fetched.contains(app), inserted) << "app " << app << " after " << i + 1;
     }
-    for (std::size_t j = i + 1; j < apps.size(); ++j) {
-      ASSERT_FALSE(fetched.contains(apps[j])) << "app " << apps[j] << " after " << i + 1;
+    for (std::size_t j = 0; j <= i; ++j) ASSERT_EQ(fetched[j], apps[j]);
+  }
+
+  fetched.reset();
+  EXPECT_EQ(fetched.size(), 0u);
+  for (std::uint32_t app = 0; app < kApps; ++app) {
+    ASSERT_FALSE(fetched.contains(app)) << "app " << app << " survived reset";
+  }
+  // A reset set fills exactly like a fresh one.
+  fetched.insert(kApps - 1);
+  fetched.insert(63);
+  EXPECT_EQ(fetched.size(), 2u);
+  EXPECT_EQ(fetched[0], kApps - 1);
+  EXPECT_EQ(fetched[1], 63u);
+  EXPECT_TRUE(fetched.contains(63));
+  EXPECT_FALSE(fetched.contains(64));
+  EXPECT_EQ(fetched.nth_unfetched(0), 0u);
+  EXPECT_EQ(fetched.nth_unfetched(63), 64u);
+  EXPECT_EQ(fetched.nth_unfetched(kApps - 3), kApps - 2);
+}
+
+TEST(FetchedSet, SortedWalkMatchesSkipCountOn10kSeeds) {
+  // nth_unfetched walks the sorted fetched ids; the reference skip-counts
+  // every app of the universe. Targets cover both ends of the remaining
+  // range plus one random interior value per seed.
+  for (std::uint64_t seed = 0; seed < 10'000; ++seed) {
+    util::Rng rng(seed);
+    const auto universe = static_cast<std::uint32_t>(1 + rng.below(seed % 4 == 0 ? 8 : 300));
+    const auto fetch_count = static_cast<std::uint32_t>(rng.below(universe));
+    std::vector<std::uint32_t> ids(universe);
+    for (std::uint32_t app = 0; app < universe; ++app) ids[app] = app;
+    rng.shuffle(std::span<std::uint32_t>(ids));
+    FetchedSet fetched(universe);
+    for (std::uint32_t k = 0; k < fetch_count; ++k) fetched.insert(ids[k]);
+
+    const std::uint32_t remaining = universe - fetch_count;
+    const auto skip_count = [&](std::uint32_t target) {
+      for (std::uint32_t app = 0; app < universe; ++app) {
+        if (fetched.contains(app)) continue;
+        if (target == 0) return app;
+        --target;
+      }
+      return universe;  // no such app
+    };
+    for (const std::uint32_t target :
+         {0u, remaining - 1, static_cast<std::uint32_t>(rng.below(remaining))}) {
+      ASSERT_EQ(fetched.nth_unfetched(target), skip_count(target))
+          << "seed " << seed << " A=" << universe << " fetched=" << fetch_count
+          << " target=" << target;
     }
   }
-  EXPECT_FALSE(fetched.contains(2));
-  EXPECT_FALSE(fetched.contains(0xFFFFFFFDu));
 }
 
 // ---- APP-CLUSTERING -----------------------------------------------------------------
@@ -467,11 +525,13 @@ TEST(Stream, AggregateCountsMatchDirectGeneration) {
 
 // ---- differential: indexed sessions vs the linear-scan reference -------------------
 //
-// The sessions in src/models keep fetch-at-most-once state in an indexed
-// FetchedSet and per-cluster tallies. The reference below is the linear-scan
-// bookkeeping they replaced, kept here only: a vector scanned on every
-// contains() and a per-anchor count of fetched cluster members. Both must
-// emit the same app sequence per user and consume the same random draws.
+// The sessions in src/models keep fetch-at-most-once state in a bitmap
+// FetchedSet and per-cluster tallies, and find the fallback's target by a
+// sorted walk. The reference below is the linear-scan bookkeeping they
+// replaced, kept here only: a vector scanned on every contains(), a
+// per-anchor count of fetched cluster members and a skip-count fallback over
+// the whole universe. Both must emit the same app sequence per user and
+// consume the same random draws.
 
 namespace reference {
 
@@ -565,13 +625,13 @@ class ClusteringSession {
       for (int anchor_attempt = 0; anchor_attempt < 8; ++anchor_attempt) {
         const std::uint32_t anchor =
             fetched_.fetched[static_cast<std::size_t>(rng.below(fetched_.size()))];
-        const auto& members = layout.members(layout.cluster_of(anchor));
+        const std::uint32_t cluster = layout.cluster_of(anchor);
+        const auto& members = layout.members(cluster);
         if (fetched_in(members) >= members.size()) {
           ++coverage_.saturated_anchors;
           continue;
         }
-        const auto& sampler =
-            model_.sampler_for_size(static_cast<std::uint32_t>(members.size()));
+        const auto& sampler = model_.sampler_for_cluster(cluster);
         app = draw_unfetched(
             rng, fetched_, static_cast<std::uint32_t>(members.size()),
             [&sampler](util::Rng& r) {
@@ -613,29 +673,50 @@ class ClusteringSession {
 
 }  // namespace reference
 
-/// Runs every user of `params` through `model`'s session and the reference
-/// session from one derived stream each, as DownloadModel::generate does,
-/// and requires identical sequences, exhaustion and RNG state afterwards.
+/// One user's draws from `session` and from the reference, both seeded as
+/// DownloadModel::generate seeds them: identical sequences, exhaustion and
+/// RNG state afterwards.
+template <typename Reference>
+void expect_same_user(Session& session, std::uint64_t seed, std::uint64_t user,
+                      const ModelParams& params, reference::Coverage& coverage,
+                      Reference expected) {
+  util::Rng rng = util::rng::derive(seed, user);
+  const std::uint64_t count =
+      DownloadModel::realized_downloads(params.downloads_per_user, params.app_count, rng);
+  util::Rng reference_rng = rng;
+  for (std::uint64_t k = 0; k < count; ++k) {
+    ASSERT_EQ(session.exhausted(), expected.exhausted()) << "user " << user << " draw " << k;
+    if (session.exhausted()) break;
+    ASSERT_EQ(session.next(rng), expected.next(reference_rng))
+        << "user " << user << " draw " << k;
+  }
+  ASSERT_EQ(session.exhausted(), expected.exhausted()) << "user " << user;
+  if (expected.exhausted()) ++coverage.exhausted_users;
+  ASSERT_EQ(rng(), reference_rng()) << "user " << user << ": draws consumed differ";
+}
+
+/// Runs every user of `params` through `model`'s sessions and the reference,
+/// both ways a session is used: a fresh session per user, and one session
+/// reset between users, as generate() and the stream workers do.
 template <typename MakeReference>
 void expect_same_sessions(const DownloadModel& model, const ModelParams& params,
                           std::uint64_t seed, reference::Coverage& coverage,
                           MakeReference&& make_reference) {
-  for (std::uint64_t user = 0; user < params.user_count; ++user) {
-    util::Rng rng = util::rng::derive(seed, user);
-    const std::uint64_t count =
-        DownloadModel::realized_downloads(params.downloads_per_user, params.app_count, rng);
-    util::Rng reference_rng = rng;
-    const auto session = model.new_session();
-    auto expected = make_reference();
-    for (std::uint64_t k = 0; k < count; ++k) {
-      ASSERT_EQ(session->exhausted(), expected.exhausted()) << "user " << user << " draw " << k;
-      if (session->exhausted()) break;
-      ASSERT_EQ(session->next(rng), expected.next(reference_rng))
-          << "user " << user << " draw " << k;
+  for (const bool reuse : {false, true}) {
+    SCOPED_TRACE(reuse ? "one session reset between users" : "a fresh session per user");
+    const auto reused = model.new_session();
+    for (std::uint64_t user = 0; user < params.user_count; ++user) {
+      std::unique_ptr<Session> fresh;
+      Session* session = reused.get();
+      if (reuse) {
+        reused->reset();
+      } else {
+        fresh = model.new_session();
+        session = fresh.get();
+      }
+      expect_same_user(*session, seed, user, params, coverage, make_reference());
+      if (testing::Test::HasFatalFailure()) return;
     }
-    ASSERT_EQ(session->exhausted(), expected.exhausted()) << "user " << user;
-    if (expected.exhausted()) ++coverage.exhausted_users;
-    ASSERT_EQ(rng(), reference_rng()) << "user " << user << ": draws consumed differ";
   }
 }
 

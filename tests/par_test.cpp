@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cache/sim.hpp"
@@ -139,6 +142,56 @@ TEST(ThreadPool, InjectedPoolIsUsed) {
   par::parallel_for(100, par::Options{.pool = &pool},
                     [&](std::uint64_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPool, OverlappingCallersKeepEachOthersJobs) {
+  // One worker, two callers. Job A holds the worker and caller A; job B is
+  // posted while A runs, and caller B blocks inside B's first shard. When A
+  // completes, caller A must remove only its own job: B keeps its queued
+  // shards, and the freed worker adopts them while caller B still blocks.
+  par::ThreadPool pool(2);
+  std::latch a_started(2);
+  std::latch a_release(1);
+  std::latch b_started(1);
+  std::latch b_release(1);
+  std::thread caller_a([&] {
+    pool.for_shards(2, [&](std::size_t) {
+      a_started.count_down();
+      a_release.wait();
+    });
+  });
+  a_started.wait();
+
+  std::vector<std::thread::id> b_runner(4);
+  std::atomic<int> b_helped{0};
+  std::thread caller_b([&] {
+    pool.for_shards(4, [&](std::size_t shard) {
+      b_runner[shard] = std::this_thread::get_id();
+      if (shard == 0) {
+        b_started.count_down();
+        b_release.wait();
+      } else {
+        b_helped.fetch_add(1);
+      }
+    });
+  });
+  b_started.wait();
+  EXPECT_EQ(pool.queued_shards(), 3u);  // A fully claimed; B's shards 1..3
+
+  a_release.count_down();
+  caller_a.join();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (b_helped.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool adopted = b_helped.load() == 3;
+  const std::thread::id caller_b_id = caller_b.get_id();
+  b_release.count_down();  // lets caller B finish either way
+  caller_b.join();
+  ASSERT_TRUE(adopted) << "the worker never adopted job B's queued shards";
+  EXPECT_EQ(b_runner[0], caller_b_id);
+  for (std::size_t shard = 1; shard < 4; ++shard) EXPECT_NE(b_runner[shard], caller_b_id);
+  EXPECT_EQ(pool.queued_shards(), 0u);
 }
 
 // ---- seed derivation -------------------------------------------------------

@@ -5,11 +5,12 @@
 #   tier-1   default build + full ctest suite
 #   tsan     ThreadSanitizer preset (parallel engine, server pool, live store)
 #   chaos    corruption-fuzz labels, then the model-session and fit suites
-#            (hashed fetch-at-most-once probing), the query suite (bitmap
-#            word and tail arithmetic at block ends), the worker-pool
-#            server and load suites (parked-connection ownership), and the
-#            crawler suite (JSON number writer and seeded parser fuzz),
-#            under ASan
+#            (fetch-at-most-once bitmap words and reset), the par suite
+#            (the pool's active-job list), the stats suite (the inline
+#            alias sampler), the query suite (bitmap word and tail
+#            arithmetic at block ends), the worker-pool server and load
+#            suites (parked-connection ownership), and the crawler suite
+#            (JSON number writer and seeded parser fuzz), under ASan
 #   load     worker-pool server + load-harness labels (default build)
 #   query    query-engine label (default build)
 #   recovery durability suite (WAL, checkpoints, crash fuzz) under ASan,
@@ -59,11 +60,11 @@ if want tsan; then
 fi
 
 if want chaos; then
-  banner "chaos: corruption fuzz + model sessions + query kernels + server pool + JSON codec under ASan"
+  banner "chaos: corruption fuzz + model sessions + par pool + alias sampler + query kernels + server pool + JSON codec under ASan"
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j"$JOBS"
   ctest --test-dir build-asan -L chaos --output-on-failure
-  ctest --test-dir build-asan -R '^(models_test|fit_test|query_test|server_pool_test|load_test|crawler_test)$' --output-on-failure
+  ctest --test-dir build-asan -R '^(models_test|fit_test|par_test|stats_test|query_test|server_pool_test|load_test|crawler_test)$' --output-on-failure
 fi
 
 if want load; then
