@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     models::StreamOptions stream_options;
     stream_options.metrics = &cli.metrics();
     stream_options.threads = cli.threads();
-    const auto stream = models::generate_stream(*model, rng, stream_options);
+    const events::EventLog stream = models::generate_stream_log(*model, rng, stream_options);
 
     for (const int percent : {1, 5, 10}) {
       const std::size_t size = std::max<std::size_t>(
@@ -57,11 +57,12 @@ int main(int argc, char** argv) {
                  static_cast<std::size_t>(percent) / 100);
 
       cache::LruCache plain(size);
-      const auto plain_result = cache::simulate(plain, stream, size);
+      const auto plain_result = cache::simulate(plain, stream, {.warm_top_n = size});
 
       cache::PrefetchingCache prefetching(std::make_unique<cache::LruCache>(size),
                                           app_category, *per_hit);
-      const auto prefetch_result = cache::simulate(prefetching, stream, size);
+      const auto prefetch_result =
+          cache::simulate(prefetching, stream, {.warm_top_n = size});
 
       table.row({std::string(to_string(kind)), std::to_string(percent) + "%",
                  report::percent(plain_result.hit_ratio()),

@@ -99,13 +99,10 @@ struct ScenarioResult {
 /// Feeds the adaptive controller a dozen over-target intervals so the limit
 /// converges before the measured window — the measurement then shows the
 /// controller's steady state, not its first ramp-down.
-void preconverge(net::AdmissionController* controller) {
-  if (controller == nullptr ||
-      controller->options().mode == net::AdmissionMode::kFixed) {
-    return;
-  }
+void preconverge(net::AdmissionController& controller) {
+  if (controller.options().mode == net::AdmissionMode::kFixed) return;
   for (int interval = 0; interval < 12; ++interval) {
-    for (int sample = 0; sample < 4; ++sample) controller->observe(40ms);
+    for (int sample = 0; sample < 4; ++sample) controller.observe(40ms);
     std::this_thread::sleep_for(27ms);
   }
 }
@@ -162,10 +159,8 @@ void preconverge(net::AdmissionController* controller) {
   const auto* wait = snapshot.find_histogram("server_queue_wait_seconds");
   cell.queue_wait_p99 = wait != nullptr ? wait->p99 : 0.0;
   cell.faults_injected = injector.injected_total();
-  if (net::AdmissionController* controller = service.admission()) {
-    cell.admission_sheds = controller->sheds();
-    cell.final_limit = controller->limit();
-  }
+  cell.admission_sheds = service.admission().sheds();
+  cell.final_limit = service.admission().limit();
   service.stop();
   return cell;
 }
@@ -218,10 +213,8 @@ void preconverge(net::AdmissionController* controller) {
   result.peak_offered_rps = scenario.peak_offered_rps();
   result.report = load::run(scenario.schedule, run_options);
   result.faults_injected = injector.injected_total();
-  if (net::AdmissionController* controller = service.admission()) {
-    result.admission_sheds = controller->sheds();
-    result.final_limit = controller->limit();
-  }
+  result.admission_sheds = service.admission().sheds();
+  result.final_limit = service.admission().limit();
   service.stop();
   return result;
 }

@@ -186,7 +186,7 @@ void BM_JsonRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_JsonRoundTrip)->Arg(0)->Arg(1);
 
 void BM_HttpRoundTrip(benchmark::State& state) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "pong");
   });
   net::HttpClient client("127.0.0.1", server.port());
@@ -219,7 +219,7 @@ BENCHMARK(BM_HttpRoundTripInstrumented);
 // carrying the fault seam in production builds (expected ~0: one mutex-
 // guarded map lookup + a pure hash per request).
 void BM_HttpRoundTripFaultSeam(benchmark::State& state) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "pong");
   });
   chaos::FaultPlan plan;
@@ -465,7 +465,7 @@ void BM_StreamGenerateParallel(benchmark::State& state) {
   options.threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     util::Rng rng(6);
-    benchmark::DoNotOptimize(models::generate_stream(*model, rng, options));
+    benchmark::DoNotOptimize(models::generate_stream_log(*model, rng, options));
   }
 }
 BENCHMARK(BM_StreamGenerateParallel)

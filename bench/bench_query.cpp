@@ -62,7 +62,7 @@ struct KindReport {
 int main(int argc, char** argv) {
   benchx::BenchCli cli("bench_query",
                        "planned (index-scan) vs naive full-scan execution of the four "
-                       "/api/query aggregate kinds under a user-selective filter");
+                       "/api/v1/query aggregate kinds under a user-selective filter");
   auto reps = cli.raw().u64("reps", 40, "timed runs per kind and configuration");
   auto out_path =
       cli.raw().str("out", "results/BENCH_query.json", "report destination");

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     config.download_scale = 2e-5;
     const auto generated = synth::generate(profile, config);
     crawlersim::AppstoreService service(*generated.store, crawlersim::ServicePolicy{});
-    crawlersim::CrawlerConfig crawler_config;
+    crawlersim::CrawlerOptions crawler_config;
     crawler_config.port = service.port();
     crawler_config.fetch_apks = true;
     crawlersim::Crawler crawler(crawler_config, database);

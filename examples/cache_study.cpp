@@ -22,7 +22,9 @@ int main(int argc, char** argv) {
   std::vector<core::CacheStudyResult> model_results;
   for (const auto kind : {models::ModelKind::kZipf, models::ModelKind::kZipfAtMostOnce,
                           models::ModelKind::kAppClustering}) {
-    model_results.push_back(core::cache_study(kind, *scale, cache::PolicyKind::kLru, *seed));
+    model_results.push_back(
+        core::cache_study(kind, {.scale = *scale, .policy = cache::PolicyKind::kLru,
+                                 .seed = *seed}));
   }
   for (const std::size_t i : {std::size_t{0}, std::size_t{4}, std::size_t{9},
                               std::size_t{19}}) {
@@ -41,7 +43,8 @@ int main(int argc, char** argv) {
                             cache::PolicyKind::kLfu, cache::PolicyKind::kRandom,
                             cache::PolicyKind::kClusterLru}) {
     policy_results.push_back(
-        core::cache_study(models::ModelKind::kAppClustering, *scale, policy, *seed));
+        core::cache_study(models::ModelKind::kAppClustering,
+                          {.scale = *scale, .policy = policy, .seed = *seed}));
   }
   for (const std::size_t i : {std::size_t{0}, std::size_t{4}, std::size_t{9},
                               std::size_t{19}}) {

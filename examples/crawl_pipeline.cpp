@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
               service.port(), 100.0 * *failure_rate);
 
   crawlersim::CrawlDatabase database;
-  crawlersim::CrawlerConfig crawler_config;
+  crawlersim::CrawlerOptions crawler_config;
   crawler_config.port = service.port();
   crawler_config.proxy_count = *proxies;
   crawler_config.seed = *seed + 1;

@@ -43,20 +43,6 @@ SimResult simulate(CachePolicy& policy, std::span<const std::uint32_t> apps,
   return result;
 }
 
-SimResult simulate(CachePolicy& policy, std::span<const models::Request> requests,
-                   const SimOptions& options) {
-  warm_policy(policy, options.warm_top_n);
-  const std::uint64_t evictions_before = policy.evictions();
-  SimResult result;
-  for (const auto& request : requests) {
-    ++result.requests;
-    if (policy.access(request.app)) ++result.hits;
-  }
-  result.evictions = policy.evictions() - evictions_before;
-  record_metrics(policy, result, options);
-  return result;
-}
-
 std::vector<SweepPoint> sweep_cache_sizes(PolicyKind kind, std::span<const std::size_t> sizes,
                                           std::span<const std::uint32_t> request_apps,
                                           std::span<const std::uint32_t> app_category,
@@ -70,18 +56,6 @@ std::vector<SweepPoint> sweep_cache_sizes(PolicyKind kind, std::span<const std::
         simulate(*policy, request_apps, SimOptions{.warm_top_n = size, .metrics = metrics});
     return SweepPoint{size, result.hit_ratio()};
   });
-}
-
-std::vector<SweepPoint> sweep_cache_sizes(PolicyKind kind, std::span<const std::size_t> sizes,
-                                          std::span<const models::Request> requests,
-                                          std::span<const std::uint32_t> app_category,
-                                          std::uint64_t seed, obs::Registry* metrics,
-                                          std::size_t threads) {
-  std::vector<std::uint32_t> apps;
-  apps.reserve(requests.size());
-  for (const auto& request : requests) apps.push_back(request.app);
-  return sweep_cache_sizes(kind, sizes, std::span<const std::uint32_t>(apps), app_category,
-                           seed, metrics, threads);
 }
 
 }  // namespace appstore::cache

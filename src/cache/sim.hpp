@@ -8,7 +8,6 @@
 
 #include "cache/policy.hpp"
 #include "events/event_log.hpp"
-#include "models/stream.hpp"
 #include "obs/registry.hpp"
 
 namespace appstore::cache {
@@ -40,22 +39,10 @@ struct SimOptions {
                                  const SimOptions& options);
 
 /// View adapter: simulates a columnar request stream (models::
-/// generate_stream_log) without materializing Request structs.
+/// generate_stream_log).
 [[nodiscard]] inline SimResult simulate(CachePolicy& policy, const events::EventLog& requests,
                                         const SimOptions& options) {
   return simulate(policy, requests.app(), options);
-}
-
-/// Runs every request through the policy (AoS request stream).
-[[nodiscard]] SimResult simulate(CachePolicy& policy,
-                                 std::span<const models::Request> requests,
-                                 const SimOptions& options);
-
-/// Deprecated positional form; forwards to the SimOptions overload.
-[[nodiscard]] inline SimResult simulate(CachePolicy& policy,
-                                        std::span<const models::Request> requests,
-                                        std::size_t warm_top_n = 0) {
-  return simulate(policy, requests, SimOptions{.warm_top_n = warm_top_n});
 }
 
 /// Hit ratio of one policy kind at several cache sizes over the same stream.
@@ -82,11 +69,5 @@ struct SweepPoint {
     obs::Registry* metrics = nullptr, std::size_t threads = 0) {
   return sweep_cache_sizes(kind, sizes, requests.app(), app_category, seed, metrics, threads);
 }
-
-/// Deprecated AoS form; copies the app column out of `requests` once.
-[[nodiscard]] std::vector<SweepPoint> sweep_cache_sizes(
-    PolicyKind kind, std::span<const std::size_t> sizes,
-    std::span<const models::Request> requests, std::span<const std::uint32_t> app_category = {},
-    std::uint64_t seed = 0, obs::Registry* metrics = nullptr, std::size_t threads = 0);
 
 }  // namespace appstore::cache

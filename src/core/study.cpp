@@ -145,14 +145,6 @@ CacheStudyResult cache_study(models::ModelKind kind, const CacheStudyOptions& op
   return result;
 }
 
-CacheStudyResult cache_study(models::ModelKind kind, double scale, cache::PolicyKind policy,
-                             std::uint64_t seed, obs::Registry* metrics) {
-  return cache_study(kind, CacheStudyOptions{.scale = scale,
-                                             .policy = policy,
-                                             .seed = seed,
-                                             .metrics = metrics});
-}
-
 std::vector<PolicyStudyResult> cache_policy_study(models::ModelKind kind,
                                                   std::span<const cache::PolicyKind> policies,
                                                   const CacheStudyOptions& options) {

@@ -105,11 +105,6 @@ struct CacheStudyOptions {
 [[nodiscard]] CacheStudyResult cache_study(models::ModelKind kind,
                                            const CacheStudyOptions& options);
 
-/// Deprecated positional form; forwards to the CacheStudyOptions overload.
-[[nodiscard]] CacheStudyResult cache_study(models::ModelKind kind, double scale,
-                                           cache::PolicyKind policy, std::uint64_t seed,
-                                           obs::Registry* metrics = nullptr);
-
 /// Multi-policy ablation over ONE shared request stream: the stream for
 /// `kind` is generated once (in parallel) and every policy×size simulation
 /// runs as its own task. `options.policy` is ignored; results are returned

@@ -7,7 +7,7 @@
 // table that contains the app's library names. scan_apk() recovers the ad
 // networks by signature search — the same analysis contract Androguard
 // provided, exercised end-to-end through the HTTP crawl (the service's
-// /api/app/<id>/apk endpoint serves these blobs; the crawler fetches each
+// /api/v1/app/<id>/apk endpoint serves these blobs; the crawler fetches each
 // version once, as the paper's pipeline did).
 #pragma once
 

@@ -87,9 +87,6 @@ struct CrawlerOptions {
   obs::Registry* metrics = nullptr;
 };
 
-/// Deprecated name for CrawlerOptions (pre-Options-struct API).
-using CrawlerConfig = CrawlerOptions;
-
 struct CrawlStats {
   std::uint64_t requests = 0;
   std::uint64_t rate_limited = 0;      ///< 429 responses

@@ -37,7 +37,7 @@ struct QueryRequest {
   bool partial = false;
 };
 
-/// Parses a /api/query request (GET query-string or POST JSON body, one
+/// Parses a /api/v1/query request (GET query-string or POST JSON body, one
 /// parse either way) into its spec and partial flag. Throws
 /// query::QueryError("bad_query" / "bad_filter") on any malformed input.
 [[nodiscard]] QueryRequest read_query_request(const net::HttpRequest& request);

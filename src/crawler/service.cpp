@@ -7,7 +7,6 @@
 #include "crawler/query_json.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
-#include "util/format.hpp"
 #include "util/strings.hpp"
 
 namespace appstore::crawlersim {
@@ -16,15 +15,14 @@ namespace {
 
 constexpr std::size_t kMaxPerPage = 500;
 
-/// Bound on cached responses: /api/meta plus directory pages plus distinct
+/// Bound on cached responses: /api/v1/meta plus directory pages plus distinct
 /// query targets — a handful per day in practice; the cap only guards
 /// against a pathological client enumerating distinct targets.
 constexpr std::size_t kMaxCachedResponses = 4096;
 
-constexpr std::string_view kLegacyPrefix = "/api";
 constexpr std::string_view kV1Prefix = "/api/v1";
 
-/// The route table: path remainder (after the version prefix) -> endpoint.
+/// The route table: path remainder (after /api/v1) -> endpoint.
 /// Prefix routes match any path continuing past the pattern; /app/<id>
 /// sub-routes (comments, apk) are refined by suffix below.
 struct Route {
@@ -69,10 +67,14 @@ constexpr Route kRoutes[] = {
 [[nodiscard]] net::HttpResponse error_response(int status, std::string_view code,
                                                std::string_view message,
                                                std::int64_t retry_after_ms = -1) {
-  JsonObject error;
-  error.emplace_back("code", Json(code));
-  error.emplace_back("message", Json(message));
-  if (retry_after_ms >= 0) error.emplace_back("retry_after_ms", Json(retry_after_ms));
+  // Assigned from initializer lists, not grown by emplace_back: growing this
+  // vector trips a false -Wmaybe-uninitialized in GCC 12's variant move.
+  JsonObject error = {{"code", Json(code)}, {"message", Json(message)}};
+  if (retry_after_ms >= 0) {
+    error = {{"code", Json(code)},
+             {"message", Json(message)},
+             {"retry_after_ms", Json(retry_after_ms)}};
+  }
   net::HttpResponse response = net::HttpResponse::json(
       status, json_object({{"error", Json(std::move(error))}}).dump());
   response.reason = std::string(reason_for(status));
@@ -101,16 +103,8 @@ std::string_view to_string(AppstoreService::Endpoint endpoint) noexcept {
 
 AppstoreService::RouteMatch AppstoreService::route(std::string_view path) noexcept {
   RouteMatch match;
-  std::string_view rest;
-  if (path.starts_with(kV1Prefix)) {
-    match.versioned = true;
-    rest = path.substr(kV1Prefix.size());
-  } else if (path.starts_with(kLegacyPrefix)) {
-    rest = path.substr(kLegacyPrefix.size());
-  } else {
-    return match;
-  }
-  match.api = true;
+  if (!path.starts_with(kV1Prefix)) return match;
+  const std::string_view rest = path.substr(kV1Prefix.size());
   for (const Route& entry : kRoutes) {
     const bool hit = entry.exact ? rest == entry.pattern : rest.starts_with(entry.pattern);
     if (!hit) continue;
@@ -164,7 +158,6 @@ AppstoreService::AppstoreService(const market::AppStore& store, ServicePolicy po
   server_options.metrics = &registry_;
   server_options.clock = policy_.clock;
   server_options.faults = policy_.faults;
-  server_options.mode = policy_.server_mode;
   server_options.worker_threads = policy_.server_workers;
   server_options.queue_capacity = policy_.server_queue_capacity;
   server_options.max_connections = policy_.max_connections;
@@ -228,97 +221,81 @@ net::HttpResponse AppstoreService::handle(const net::HttpRequest& request) {
   endpoint_requests_[slot]->inc();
   const obs::ScopedTimer timer(endpoint_latency_[slot]);
 
-  net::HttpResponse response = [&] {
-    // The metrics endpoint is operational, not part of the simulated store:
-    // it bypasses region gating, rate limiting and failure injection so a
-    // scrape can never be throttled by (or perturb) the workload under study.
-    if (match.endpoint == Endpoint::kMetrics) return handle_metrics(request);
+  // The metrics endpoint is operational, not part of the simulated store: it
+  // bypasses region gating, rate limiting and failure injection so a scrape
+  // can never be throttled by (or perturb) the workload under study.
+  if (match.endpoint == Endpoint::kMetrics) return handle_metrics(request);
 
-    ServiceRequest context;
-    context.http = &request;
-    context.endpoint = match.endpoint;
-    context.versioned = match.versioned;
-    context.rest = match.rest;
-    context.day = day_.load(std::memory_order_relaxed);
-    context.client = client_of(request);
+  ServiceRequest context;
+  context.http = &request;
+  context.endpoint = match.endpoint;
+  context.rest = match.rest;
+  context.day = day_.load(std::memory_order_relaxed);
+  context.client = client_of(request);
 
-    if (policy_.china_only && !is_china_client(context.client)) {
-      region_blocked_->inc();
-      return error_response(403, "region_blocked", "store not served in this region");
-    }
-    if (!limiter_.allow(context.client)) {
-      const auto retry_ms = static_cast<std::int64_t>(
-          std::max(1.0, 1000.0 / std::max(policy_.rate_per_second, 1e-9)));
-      return error_response(429, "rate_limited", "per-client rate limit exceeded",
-                            retry_ms);
-    }
-    if (policy_.failure_rate > 0.0) {
-      // Deterministic per-request failure injection (splitmix64 walk).
-      std::uint64_t state = failure_state_.fetch_add(1, std::memory_order_relaxed);
-      util::Rng rng(util::splitmix64(state));
-      if (rng.chance(policy_.failure_rate)) {
-        injected_failures_->inc();
-        return error_response(500, "internal", "transient failure (injected)");
-      }
-    }
-
-    const bool post_allowed = match.endpoint == Endpoint::kQuery;
-    if (request.method != "GET" && !(post_allowed && request.method == "POST")) {
-      return error_response(405, "method_not_allowed",
-                            post_allowed ? "only GET and POST supported"
-                                         : "only GET supported");
-    }
-
-    switch (match.endpoint) {
-      case Endpoint::kMeta:
-      case Endpoint::kApps:
-      case Endpoint::kQuery: {
-        // Canonical cache key: the target minus the version prefix, so the
-        // v1 path and its legacy alias share one cached response; a POST
-        // query is additionally keyed by its body.
-        const std::size_t prefix =
-            match.versioned ? kV1Prefix.size() : kLegacyPrefix.size();
-        std::string key(std::string_view(request.target).substr(prefix));
-        if (request.method == "POST") {
-          key += '\n';
-          key += request.body;
-        }
-        return handle_cacheable(context, std::move(key));
-      }
-      case Endpoint::kApp:
-      case Endpoint::kComments:
-      case Endpoint::kApk: {
-        // These read the derived per-app layout; catch it up to the
-        // published frontiers first (fast no-op when nothing ingested).
-        refresh_derived();
-        std::uint64_t id = 0;
-        if (!util::parse_u64(match.rest, id) || id >= store_.apps().size()) {
-          return error_response(404, "not_found", "no such app");
-        }
-        if (match.endpoint == Endpoint::kComments) {
-          return handle_comments(static_cast<std::uint32_t>(id), request);
-        }
-        if (match.endpoint == Endpoint::kApk) {
-          return handle_apk(static_cast<std::uint32_t>(id));
-        }
-        return handle_app(static_cast<std::uint32_t>(id));
-      }
-      case Endpoint::kMetrics:
-      case Endpoint::kOther:
-        break;
-    }
-    return error_response(404, "not_found", "no such endpoint");
-  }();
-
-  // Legacy alias: flag deprecation after the cache so cached entries stay
-  // canonical and both surfaces share them.
-  if (match.api && !match.versioned) {
-    response.headers["Deprecation"] = "true";
-    response.headers["Link"] =
-        util::format("<{}{}>; rel=\"successor-version\"", kV1Prefix,
-                     std::string_view(path).substr(kLegacyPrefix.size()));
+  if (policy_.china_only && !is_china_client(context.client)) {
+    region_blocked_->inc();
+    return error_response(403, "region_blocked", "store not served in this region");
   }
-  return response;
+  if (!limiter_.allow(context.client)) {
+    const auto retry_ms = static_cast<std::int64_t>(
+        std::max(1.0, 1000.0 / std::max(policy_.rate_per_second, 1e-9)));
+    return error_response(429, "rate_limited", "per-client rate limit exceeded",
+                          retry_ms);
+  }
+  if (policy_.failure_rate > 0.0) {
+    // Deterministic per-request failure injection (splitmix64 walk).
+    std::uint64_t state = failure_state_.fetch_add(1, std::memory_order_relaxed);
+    util::Rng rng(util::splitmix64(state));
+    if (rng.chance(policy_.failure_rate)) {
+      injected_failures_->inc();
+      return error_response(500, "internal", "transient failure (injected)");
+    }
+  }
+
+  const bool post_allowed = match.endpoint == Endpoint::kQuery;
+  if (request.method != "GET" && !(post_allowed && request.method == "POST")) {
+    return error_response(405, "method_not_allowed",
+                          post_allowed ? "only GET and POST supported"
+                                       : "only GET supported");
+  }
+
+  switch (match.endpoint) {
+    case Endpoint::kMeta:
+    case Endpoint::kApps:
+    case Endpoint::kQuery: {
+      // Cache key: the target minus /api/v1; a POST query is additionally
+      // keyed by its body.
+      std::string key(std::string_view(request.target).substr(kV1Prefix.size()));
+      if (request.method == "POST") {
+        key += '\n';
+        key += request.body;
+      }
+      return handle_cacheable(context, std::move(key));
+    }
+    case Endpoint::kApp:
+    case Endpoint::kComments:
+    case Endpoint::kApk: {
+      // These read the derived per-app layout; catch it up to the
+      // published frontiers first (fast no-op when nothing ingested).
+      refresh_derived();
+      std::uint64_t id = 0;
+      if (!util::parse_u64(match.rest, id) || id >= store_.apps().size()) {
+        return error_response(404, "not_found", "no such app");
+      }
+      if (match.endpoint == Endpoint::kComments) {
+        return handle_comments(static_cast<std::uint32_t>(id), request);
+      }
+      if (match.endpoint == Endpoint::kApk) {
+        return handle_apk(static_cast<std::uint32_t>(id));
+      }
+      return handle_app(static_cast<std::uint32_t>(id));
+    }
+    case Endpoint::kMetrics:
+    case Endpoint::kOther:
+      break;
+  }
+  return error_response(404, "not_found", "no such endpoint");
 }
 
 void AppstoreService::set_day(market::Day day) {

@@ -15,9 +15,8 @@
 //     Chinese stores only through PlanetLab nodes in China);
 //   * optional random transient failures (500) to exercise crawler retries.
 //
-// Endpoints (v1 surface; the legacy unversioned /api/* paths remain as
-// deprecated aliases of the same handlers and answer with a
-// "Deprecation: true" header):
+// Endpoints (every path outside /api/v1 answers 404 with the error
+// envelope below):
 //   /api/v1/meta                      -> {store, day, total_apps}
 //   /api/v1/apps?page=P&per_page=N   -> {page, total, ids:[...]}
 //   /api/v1/app/<id>                  -> per-app statistics
@@ -43,11 +42,11 @@
 // (service_response_cache_total{hit,miss}), and the underlying HttpServer's
 // http_* and server_* families.
 //
-// /api/meta, /api/apps and /api/v1/query responses are cached per (virtual
-// day, ingest epoch): an entry stops matching the moment the day advances or
-// any event publishes, so the cache never needs a stop-the-world clear and
-// the service keeps serving day-N answers while the crawler ingests day
-// N+1. See docs/serving.md.
+// /api/v1/meta, /api/v1/apps and /api/v1/query responses are cached per
+// (virtual day, ingest epoch): an entry stops matching the moment the day
+// advances or any event publishes, so the cache never needs a stop-the-world
+// clear and the service keeps serving day-N answers while the crawler ingests
+// day N+1. See docs/serving.md.
 #pragma once
 
 #include <atomic>
@@ -75,20 +74,19 @@ struct ServicePolicy {
   bool china_only = false;         ///< 403 for non-"cn" clients
   double failure_rate = 0.0;       ///< probability of a injected 500
   std::uint64_t failure_seed = 7;
-  /// Response cache for the hot read-only endpoints (/api/meta, /api/apps
-  /// pages, /api/v1/query). Entries are keyed by the canonical target and
+  /// Response cache for the hot read-only endpoints (/api/v1/meta,
+  /// /api/v1/apps pages, /api/v1/query). Entries are keyed by the target and
   /// stamped (day, ingest epoch); a stamp mismatch is a miss, so advancing
   /// the day or publishing events invalidates without locking readers out.
   /// Counted in service_response_cache_total{hit,miss}.
   bool cache_responses = true;
-  /// Serving architecture + sizing, forwarded to net::ServerOptions.
-  net::ServerMode server_mode = net::ServerMode::kWorkerPool;
+  /// Server sizing, forwarded to net::ServerOptions.
   std::size_t server_workers = 0;         ///< 0 = ServerOptions default
   std::size_t server_queue_capacity = 256;
   std::size_t max_connections = 256;
   /// Admission policy for the ready queue (net::AdmissionOptions, forwarded
   /// to net::ServerOptions): the default kFixed mode is the legacy
-  /// queue-capacity cliff; the adaptive modes shed once measured queue delay
+  /// queue-capacity cliff; kQueueDelay sheds once measured queue delay
   /// exceeds admission.target_delay. See docs/gameday.md.
   net::AdmissionOptions admission;
   /// Optional server-side chaos seam + clock, forwarded to the underlying
@@ -124,9 +122,7 @@ class AppstoreService {
   /// Result of table-driven path routing (see route()).
   struct RouteMatch {
     Endpoint endpoint = Endpoint::kOther;
-    bool api = false;        ///< path was under /api or /api/v1
-    bool versioned = false;  ///< path was under /api/v1
-    std::string_view rest;   ///< path after the matched route prefix
+    std::string_view rest;  ///< path after the matched route prefix
   };
 
   /// Per-request context handed to handlers — the Options-struct form, so
@@ -134,7 +130,6 @@ class AppstoreService {
   struct ServiceRequest {
     const net::HttpRequest* http = nullptr;
     Endpoint endpoint = Endpoint::kOther;
-    bool versioned = false;
     std::string_view rest;  ///< RouteMatch::rest (e.g. the app id segment)
     market::Day day = 0;
     std::string client;
@@ -150,15 +145,14 @@ class AppstoreService {
     return server_->requests_served();
   }
 
-  /// The HTTP server's admission controller (nullptr in
-  /// thread-per-connection mode). bench_gameday uses it to pre-converge the
-  /// adaptive limit before a measured window and to read the final limit
-  /// and shed count afterwards.
-  [[nodiscard]] net::AdmissionController* admission() noexcept {
+  /// The HTTP server's admission controller. bench_gameday uses it to
+  /// pre-converge the adaptive limit before a measured window and to read
+  /// the final limit and shed count afterwards.
+  [[nodiscard]] net::AdmissionController& admission() noexcept {
     return server_->admission();
   }
 
-  /// The service's metrics registry (also served at /api/metrics).
+  /// The service's metrics registry (also served at /api/v1/metrics).
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return registry_; }
   [[nodiscard]] obs::Registry& metrics() noexcept { return registry_; }
 
@@ -179,8 +173,9 @@ class AppstoreService {
 
   void stop() { server_->stop(); }
 
-  /// Table-driven path routing: strips the /api/v1 (or legacy /api) prefix
-  /// and matches the remainder against the route table. Exposed for tests.
+  /// Table-driven path routing: strips the /api/v1 prefix and matches the
+  /// remainder against the route table (anything else is kOther). Exposed
+  /// for tests and shared by the federation gateway.
   [[nodiscard]] static RouteMatch route(std::string_view path) noexcept;
 
  private:
@@ -189,8 +184,7 @@ class AppstoreService {
   [[nodiscard]] net::HttpResponse handle_apps(const net::HttpRequest& request,
                                               market::Day day) const;
   /// Cache-aware dispatch for the per-day-immutable endpoints. `key` is the
-  /// canonical cache key (prefix-stripped target, plus the body for POST),
-  /// shared by the v1 path and its legacy alias.
+  /// cache key (the target minus /api/v1, plus the body for POST).
   [[nodiscard]] net::HttpResponse handle_cacheable(const ServiceRequest& context,
                                                    std::string key);
   [[nodiscard]] net::HttpResponse handle_app(std::uint32_t id) const;
@@ -224,8 +218,7 @@ class AppstoreService {
   /// registry_).
   std::unique_ptr<query::QueryEngine> query_engine_;
 
-  /// Response cache keyed by the canonical (prefix-stripped) request target,
-  /// so /api/v1/meta and its legacy alias share one entry. Each entry is
+  /// Response cache keyed by the request target minus /api/v1. Each entry is
   /// stamped with the (day, ingest epoch) it was computed under; a lookup
   /// must match both, so entries from an older day or a pre-ingest epoch are
   /// dead weight that the next insert for the same key replaces. A racing

@@ -52,8 +52,8 @@ Json to_json(const RunReport& report) {
 }
 
 Json to_json(const ServingComparison& comparison) {
-  return json_object({{"baseline_thread_per_connection", to_json(comparison.baseline)},
-                      {"worker_pool_with_cache", to_json(comparison.worker_pool)},
+  return json_object({{"worker_pool_without_cache", to_json(comparison.baseline)},
+                      {"worker_pool_with_cache", to_json(comparison.cached)},
                       {"speedup", comparison.speedup},
                       {"response_cache_hits", comparison.cache_hits},
                       {"response_cache_misses", comparison.cache_misses},

@@ -1,9 +1,9 @@
 // JSON reporting for load-harness runs (results/BENCH_serving.json).
 //
 // A RunReport serializes to the shape documented in docs/serving.md; a
-// ServingComparison wraps the baseline (thread-per-connection, cache off)
-// and candidate (worker pool + response cache) runs of bench_serving with
-// the derived speedup and the service's cache counters. Values round-trip
+// ServingComparison wraps bench_serving's two runs of the same worker-pool
+// server — response cache off, then on — with the derived speedup and the
+// service's cache counters. Values round-trip
 // through crawlersim::parse_json (load_test covers this).
 #pragma once
 
@@ -15,12 +15,12 @@
 
 namespace appstore::load {
 
-/// Side-by-side result of the two serving architectures under an identical
-/// schedule (the ISSUE 5 acceptance comparison).
+/// Side-by-side result of one server with and without its response cache
+/// under an identical schedule: the speedup is the cache layer's alone.
 struct ServingComparison {
-  RunReport baseline;     ///< ServerMode::kThreadPerConnection, cache off
-  RunReport worker_pool;  ///< ServerMode::kWorkerPool + response cache
-  double speedup = 0.0;   ///< worker_pool.throughput_rps / baseline.throughput_rps
+  RunReport baseline;    ///< worker pool, ServicePolicy::cache_responses = false
+  RunReport cached;      ///< worker pool, ServicePolicy::cache_responses = true
+  double speedup = 0.0;  ///< cached.throughput_rps / baseline.throughput_rps
   std::uint64_t cache_hits = 0;    ///< service_response_cache_total{hit}
   std::uint64_t cache_misses = 0;  ///< service_response_cache_total{miss}
   std::string notes;

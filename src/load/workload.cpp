@@ -112,18 +112,18 @@ Schedule build_schedule(const ScheduleOptions& options) {
       request.kind = static_cast<OpKind>(op);
       switch (request.kind) {
         case OpKind::kMeta:
-          request.target = "/api/meta";
+          request.target = "/api/v1/meta";
           break;
         case OpKind::kApps:
-          request.target = "/api/apps?page=" + std::to_string(rng.below(pages)) +
+          request.target = "/api/v1/apps?page=" + std::to_string(rng.below(pages)) +
                            "&per_page=" + std::to_string(mix.per_page);
           break;
         case OpKind::kApp:
-          request.target = "/api/app/" + std::to_string(picker.pick(rng, previous));
+          request.target = "/api/v1/app/" + std::to_string(picker.pick(rng, previous));
           break;
         case OpKind::kComments:
           request.target =
-              "/api/app/" + std::to_string(picker.pick(rng, previous)) + "/comments?page=0";
+              "/api/v1/app/" + std::to_string(picker.pick(rng, previous)) + "/comments?page=0";
           break;
         case OpKind::kQuery:
           // Rotate over the aggregate kinds; the top-k form carries a

@@ -34,10 +34,10 @@ constexpr std::size_t kOpKindCount = 5;
 /// Shape of the request mix: endpoint weights plus the popularity model for
 /// app-detail targets.
 struct MixOptions {
-  double meta_weight = 0.05;      ///< GET /api/meta
-  double apps_weight = 0.35;      ///< GET /api/apps?page=...
-  double app_weight = 0.45;       ///< GET /api/app/<id>
-  double comments_weight = 0.15;  ///< GET /api/app/<id>/comments
+  double meta_weight = 0.05;      ///< GET /api/v1/meta
+  double apps_weight = 0.35;      ///< GET /api/v1/apps?page=...
+  double app_weight = 0.45;       ///< GET /api/v1/app/<id>
+  double comments_weight = 0.15;  ///< GET /api/v1/app/<id>/comments
   /// GET /api/v1/query — the analytics mix (defaults to 0 so existing
   /// schedules are unchanged). Targets rotate over the four aggregate kinds;
   /// top_k_downloads draws a user-selective filter from query_user_count.

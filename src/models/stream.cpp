@@ -10,28 +10,6 @@
 
 namespace appstore::models {
 
-std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng) {
-  return generate_stream(model, rng, StreamOptions{});
-}
-
-std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
-                                     std::uint64_t max_requests) {
-  StreamOptions options;
-  options.max_requests = max_requests;
-  return generate_stream(model, rng, options);
-}
-
-std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
-                                     const StreamOptions& options) {
-  const events::EventLog log = generate_stream_log(model, rng, options);
-  std::vector<Request> stream;
-  stream.reserve(log.size());
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    stream.push_back(Request{log.user()[i], log.app()[i]});
-  }
-  return stream;
-}
-
 events::EventLog generate_stream_log(const DownloadModel& model, util::Rng& rng,
                                      const StreamOptions& options) {
   return generate_stream_slice(model, rng, options).log;

@@ -27,12 +27,7 @@
 
 namespace appstore::models {
 
-struct Request {
-  std::uint32_t user;
-  std::uint32_t app;
-};
-
-/// Options for generate_stream (the Options-struct API).
+/// Options for stream generation (the Options-struct API).
 struct StreamOptions {
   /// Caps the total request count (the Fig. 19 setup fixes 2M downloads
   /// over 600k users rather than an exact per-user d).
@@ -76,22 +71,10 @@ struct StreamSlice {
 
 /// Generates the full interleaved stream for `model` as a columnar
 /// (user, app) EventLog in arrival order (Columns::kNone — the append
-/// position IS the arrival order). This is the primary form: the cache
-/// layer simulates directly over the app column without materializing
-/// Request structs. The number of requests is the sum of per-user realized
+/// position IS the arrival order); the cache layer simulates directly over
+/// the app column. The number of requests is the sum of per-user realized
 /// download counts (≈ U * d).
 [[nodiscard]] events::EventLog generate_stream_log(const DownloadModel& model, util::Rng& rng,
                                                    const StreamOptions& options = {});
-
-/// Generates the full interleaved stream for `model`. The number of requests
-/// is the sum of per-user realized download counts (≈ U * d).
-[[nodiscard]] std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
-                                                   const StreamOptions& options);
-
-[[nodiscard]] std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng);
-
-/// Deprecated positional form; forwards to the StreamOptions overload.
-[[nodiscard]] std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
-                                                   std::uint64_t max_requests);
 
 }  // namespace appstore::models

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace appstore::net {
 
@@ -18,7 +19,6 @@ std::string_view to_string(AdmissionMode mode) noexcept {
   switch (mode) {
     case AdmissionMode::kFixed: return "fixed";
     case AdmissionMode::kQueueDelay: return "queue_delay";
-    case AdmissionMode::kGradient: return "gradient";
   }
   return "?";
 }
@@ -69,8 +69,6 @@ void AdmissionController::observe(std::chrono::nanoseconds queue_wait) {
   {
     const std::lock_guard lock(mutex_);
     if (interval_min_ns_ < 0 || wait_ns < interval_min_ns_) interval_min_ns_ = wait_ns;
-    interval_sum_ns_ += wait_ns;
-    ++interval_samples_;
   }
   maybe_roll(chaos::now_or_real(options_.clock));
 }
@@ -86,60 +84,23 @@ void AdmissionController::maybe_roll(std::chrono::steady_clock::time_point now) 
     return;
   }
   std::int64_t min_ns = -1;
-  std::int64_t sum_ns = 0;
-  std::uint64_t samples = 0;
   {
     const std::lock_guard lock(mutex_);
-    min_ns = interval_min_ns_;
-    sum_ns = interval_sum_ns_;
-    samples = interval_samples_;
-    interval_min_ns_ = -1;
-    interval_sum_ns_ = 0;
-    interval_samples_ = 0;
+    min_ns = std::exchange(interval_min_ns_, -1);
   }
-  apply_update(min_ns, sum_ns, samples);
-}
-
-void AdmissionController::apply_update(std::int64_t min_wait_ns, std::int64_t sum_wait_ns,
-                                       std::uint64_t samples) {
   const std::size_t current = limit_.load(std::memory_order_relaxed);
-  const auto grown = [&]() noexcept {
-    return std::min(options_.limit_ceiling, current + increase_step_);
-  };
-  const std::int64_t target_ns = options_.target_delay.count();
-  if (samples == 0) {
-    // An idle interval carries no congestion signal: recover additively so
-    // the limit always returns to the ceiling after load drops.
-    publish_limit(grown());
+  // An idle interval (min_ns < 0) carries no congestion signal: recover
+  // additively so the limit always returns to the ceiling after load drops.
+  // Otherwise the CoDel reading: the interval *minimum* above target means a
+  // standing queue (every request waited too long, not just an unlucky
+  // burst), so cut the limit multiplicatively.
+  if (min_ns < 0 || min_ns <= options_.target_delay.count()) {
+    publish_limit(std::min(options_.limit_ceiling, current + increase_step_));
     return;
   }
-  switch (options_.mode) {
-    case AdmissionMode::kQueueDelay: {
-      // CoDel reading: the interval *minimum* above target means a standing
-      // queue (every request waited too long, not just an unlucky burst).
-      if (min_wait_ns > target_ns) {
-        const auto cut = static_cast<std::size_t>(
-            std::floor(static_cast<double>(current) * options_.decrease));
-        publish_limit(std::max(options_.min_limit, cut));
-      } else {
-        publish_limit(grown());
-      }
-      break;
-    }
-    case AdmissionMode::kGradient: {
-      const double avg_ns = static_cast<double>(sum_wait_ns) /
-                            static_cast<double>(samples);
-      const double gradient = std::clamp(
-          static_cast<double>(target_ns) / std::max(avg_ns, 1.0), 0.5, 2.0);
-      const double next = gradient * static_cast<double>(current) +
-                          std::sqrt(static_cast<double>(current));
-      publish_limit(std::clamp(static_cast<std::size_t>(next), options_.min_limit,
-                               options_.limit_ceiling));
-      break;
-    }
-    case AdmissionMode::kFixed:
-      break;  // unreachable: maybe_roll returns early for kFixed
-  }
+  const auto cut = static_cast<std::size_t>(
+      std::floor(static_cast<double>(current) * options_.decrease));
+  publish_limit(std::max(options_.min_limit, cut));
 }
 
 int AdmissionController::retry_after_seconds() const noexcept {

@@ -136,106 +136,84 @@ HttpServer::HttpServer(ServerOptions options, Handler handler)
     metrics_.workers_busy = &registry.gauge("server_workers_busy");
   }
 
-  if (options_.mode == ServerMode::kWorkerPool) {
-    // The admission controller fronts the ready queue: its ceiling IS the
-    // queue capacity (one knob), and it reports into the server's registry
-    // unless the caller wired its own.
-    AdmissionOptions admission = options_.admission;
-    admission.limit_ceiling = options_.queue_capacity;
-    if (admission.metrics == nullptr) admission.metrics = options_.metrics;
-    admission_ = std::make_unique<AdmissionController>(admission);
+  // The admission controller fronts the ready queue: its ceiling IS the
+  // queue capacity (one knob), and it reports into the server's registry
+  // unless the caller wired its own.
+  AdmissionOptions admission = options_.admission;
+  admission.limit_ceiling = options_.queue_capacity;
+  if (admission.metrics == nullptr) admission.metrics = options_.metrics;
+  admission_ = std::make_unique<AdmissionController>(admission);
 
-    int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0) {
-      throw std::system_error(errno, std::generic_category(), "HttpServer: pipe");
-    }
-    set_nonblocking(pipe_fds[0]);
-    set_nonblocking(pipe_fds[1]);
-    wake_read_ = FileDescriptor(pipe_fds[0]);
-    wake_write_ = FileDescriptor(pipe_fds[1]);
-
-    const std::size_t worker_count =
-        options_.worker_threads > 0 ? options_.worker_threads : default_worker_count();
-    worker_fds_ = std::make_unique<std::atomic<int>[]>(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) worker_fds_[i].store(-1);
-    kick_fds_.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      kick_fds_.emplace_back(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-      if (!kick_fds_.back().valid()) {
-        throw std::system_error(errno, std::generic_category(), "HttpServer: eventfd");
-      }
-    }
-    parked_.reserve(worker_count);
-    workers_.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
-    }
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
-    util::log_info(kComponent,
-                   "listening on 127.0.0.1:{} (worker pool: {} workers, queue {}, max {} "
-                   "connections)",
-                   listener_.port(), worker_count, options_.queue_capacity,
-                   options_.max_connections);
-  } else {
-    acceptor_ = std::thread([this] { accept_loop(); });
-    util::log_info(kComponent,
-                   "listening on 127.0.0.1:{} (thread-per-connection, max {} connections)",
-                   listener_.port(), options_.max_connections);
+  int pipe_fds[2] = {-1, -1};
+  if (::pipe(pipe_fds) != 0) {
+    throw std::system_error(errno, std::generic_category(), "HttpServer: pipe");
   }
+  set_nonblocking(pipe_fds[0]);
+  set_nonblocking(pipe_fds[1]);
+  wake_read_ = FileDescriptor(pipe_fds[0]);
+  wake_write_ = FileDescriptor(pipe_fds[1]);
+
+  const std::size_t worker_count =
+      options_.worker_threads > 0 ? options_.worker_threads : default_worker_count();
+  worker_fds_ = std::make_unique<std::atomic<int>[]>(worker_count);
+  for (std::size_t i = 0; i < worker_count; ++i) worker_fds_[i].store(-1);
+  kick_fds_.reserve(worker_count);
+  for (std::size_t i = 0; i < worker_count; ++i) {
+    kick_fds_.emplace_back(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+    if (!kick_fds_.back().valid()) {
+      throw std::system_error(errno, std::generic_category(), "HttpServer: eventfd");
+    }
+  }
+  parked_.reserve(worker_count);
+  workers_.reserve(worker_count);
+  for (std::size_t i = 0; i < worker_count; ++i) {
+    workers_.emplace_back([this, i] { worker_loop(i); });
+  }
+  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  util::log_info(kComponent,
+                 "listening on 127.0.0.1:{} (worker pool: {} workers, queue {}, max {} "
+                 "connections)",
+                 listener_.port(), worker_count, options_.queue_capacity,
+                 options_.max_connections);
 }
 
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
   if (!running_.exchange(false)) return;
-  if (options_.mode == ServerMode::kWorkerPool) {
-    // 1. Parked workers close their connections (running_ is false); a
-    //    worker about to park sees running_ under the same lock and closes
-    //    instead. The dispatcher closes every idle connection and exits —
-    //    nothing new reaches the ready queue.
-    {
-      const std::lock_guard lock(queue_mutex_);
-      for (const std::size_t index : parked_) kick_locked(index);
-      parked_.clear();
-    }
-    wake_dispatcher();
-    if (dispatcher_.joinable()) dispatcher_.join();
-    listener_.close();
-    // 2. Workers drain whatever is already in the ready queue (responses
-    //    carry "Connection: close" because running_ is false) and exit once
-    //    it is empty.
-    {
-      const std::lock_guard lock(queue_mutex_);
-      workers_stopping_ = true;
-    }
-    queue_cv_.notify_all();
-    // Unblock any worker parked in recv() waiting out a slow request head.
-    const std::size_t worker_count = workers_.size();
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      const int fd = worker_fds_[i].load(std::memory_order_acquire);
-      if (fd >= 0) (void)::shutdown(fd, SHUT_RD);
-    }
-    for (auto& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-    workers_.clear();
-    // 3. Connections handed back after the dispatcher exited just close.
-    const std::lock_guard lock(returned_mutex_);
-    returned_.clear();
-  } else {
-    if (acceptor_.joinable()) acceptor_.join();
-    listener_.close();
-    const std::lock_guard lock(connections_mutex_);
-    for (auto& connection : connections_) {
-      // Unblock any thread parked in recv() on a keep-alive connection.
-      const int fd = connection->fd.load(std::memory_order_acquire);
-      if (fd >= 0) (void)::shutdown(fd, SHUT_RDWR);
-    }
-    for (auto& connection : connections_) {
-      if (connection->thread.joinable()) connection->thread.join();
-    }
-    connections_.clear();
+  // 1. Parked workers close their connections (running_ is false); a worker
+  //    about to park sees running_ under the same lock and closes instead.
+  //    The dispatcher closes every idle connection and exits — nothing new
+  //    reaches the ready queue.
+  {
+    const std::lock_guard lock(queue_mutex_);
+    for (const std::size_t index : parked_) kick_locked(index);
+    parked_.clear();
   }
+  wake_dispatcher();
+  if (dispatcher_.joinable()) dispatcher_.join();
+  listener_.close();
+  // 2. Workers drain whatever is already in the ready queue (responses carry
+  //    "Connection: close" because running_ is false) and exit once it is
+  //    empty.
+  {
+    const std::lock_guard lock(queue_mutex_);
+    workers_stopping_ = true;
+  }
+  queue_cv_.notify_all();
+  // Unblock any worker parked in recv() waiting out a slow request head.
+  const std::size_t worker_count = workers_.size();
+  for (std::size_t i = 0; i < worker_count; ++i) {
+    const int fd = worker_fds_[i].load(std::memory_order_acquire);
+    if (fd >= 0) (void)::shutdown(fd, SHUT_RD);
+  }
+  for (auto& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
+  workers_.clear();
+  // 3. Connections handed back after the dispatcher exited just close.
+  const std::lock_guard lock(returned_mutex_);
+  returned_.clear();
 }
 
 void HttpServer::shed_connection(TcpStream stream, ShedReason reason) {
@@ -252,8 +230,7 @@ void HttpServer::shed_connection(TcpStream stream, ShedReason reason) {
   // Retry-After reflects the smoothed queue wait the controller measured
   // (floor 1 s), so a client that honors it returns after roughly one queue
   // drain instead of hammering a still-deep backlog.
-  const int retry_after =
-      admission_ != nullptr ? admission_->retry_after_seconds() : 1;
+  const int retry_after = admission_->retry_after_seconds();
   try {
     stream.set_timeout(std::chrono::milliseconds(250));
     HttpResponse response;
@@ -270,7 +247,7 @@ void HttpServer::shed_connection(TcpStream stream, ShedReason reason) {
   }
 }
 
-// ---- shared request path ----------------------------------------------------
+// ---- request path -----------------------------------------------------------
 
 HttpServer::RequestOutcome HttpServer::serve_one(HttpReader& reader, TcpStream& stream) {
   const auto request = reader.read_request();
@@ -333,7 +310,7 @@ HttpServer::RequestOutcome HttpServer::serve_one(HttpReader& reader, TcpStream& 
   return close_requested ? RequestOutcome::kClose : RequestOutcome::kKeepAlive;
 }
 
-// ---- worker-pool mode -------------------------------------------------------
+// ---- connections and threads ------------------------------------------------
 
 void HttpServer::wake_dispatcher() noexcept {
   const char byte = 1;
@@ -577,77 +554,6 @@ bool HttpServer::serve_ready(Conn& conn) {
     // terminate this connection.
     util::log_debug(kComponent, "connection ended: {}", error.what());
     return false;
-  }
-}
-
-// ---- thread-per-connection mode ---------------------------------------------
-
-void HttpServer::accept_loop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    auto stream = listener_.accept(std::chrono::milliseconds(50));
-    reap_finished();
-    if (!stream.has_value()) continue;
-
-    std::size_t active = 0;
-    {
-      const std::lock_guard lock(connections_mutex_);
-      active = connections_.size();
-    }
-    if (active >= options_.max_connections) {
-      shed_connection(std::move(*stream), ShedReason::kAccept);
-      continue;
-    }
-    if (metrics_.accepted != nullptr) metrics_.accepted->inc();
-
-    auto connection = std::make_unique<Connection>();
-    Connection* raw = connection.get();
-    connection->thread = std::thread(
-        [this, raw](TcpStream accepted) {
-          serve_connection(std::move(accepted), raw);
-        },
-        std::move(*stream));
-    const std::lock_guard lock(connections_mutex_);
-    connections_.push_back(std::move(connection));
-  }
-}
-
-void HttpServer::reap_finished() {
-  const std::lock_guard lock(connections_mutex_);
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void HttpServer::serve_connection(TcpStream stream, Connection* connection) {
-  connection->fd.store(stream.native_handle(), std::memory_order_release);
-  if (metrics_.active != nullptr) metrics_.active->add(1.0);
-  struct DoneGuard {
-    Connection* connection;
-    obs::Gauge* active;
-    ~DoneGuard() {
-      if (active != nullptr) active->sub(1.0);
-      connection->fd.store(-1, std::memory_order_release);
-      connection->done.store(true, std::memory_order_release);
-    }
-  } guard{connection, metrics_.active};
-
-  try {
-    stream.set_timeout(options_.read_timeout);
-    HttpReader reader(stream);
-    for (;;) {
-      // Stop serving keep-alive connections when the server shuts down.
-      if (!running_.load(std::memory_order_relaxed)) return;
-      if (serve_one(reader, stream) != RequestOutcome::kKeepAlive) return;
-    }
-  } catch (const std::exception& error) {
-    // Connection-level failures (timeouts, resets, malformed input) only
-    // terminate this connection.
-    util::log_debug(kComponent, "connection ended: {}", error.what());
   }
 }
 

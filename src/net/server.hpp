@@ -1,6 +1,5 @@
-// HTTP/1.1 server over loopback TCP with two serving architectures.
+// HTTP/1.1 server over loopback TCP: a dispatcher plus a fixed worker pool.
 //
-// ServerMode::kWorkerPool (the default — the serving-scale design):
 //   * One dispatcher thread owns the listener and every idle keep-alive
 //     connection and multiplexes them through poll(2). An idle connection
 //     costs one pollfd, not a parked thread, so thousands of persistent
@@ -30,10 +29,6 @@
 //     or being served complete (their responses carry "Connection: close");
 //     idle connections, parked ones included (stop() kicks every parked
 //     worker), are closed immediately.
-//
-// ServerMode::kThreadPerConnection keeps the previous design — one thread
-// per connection, reaped as new ones arrive — as the benchmarking baseline
-// (bench_serving) and a conservative fallback.
 #pragma once
 
 #include <atomic>
@@ -42,7 +37,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -57,14 +51,9 @@
 
 namespace appstore::net {
 
-/// Handler: request -> response. Called concurrently from worker (or
-/// connection) threads; must be thread-safe.
+/// Handler: request -> response. Called concurrently from worker threads;
+/// must be thread-safe.
 using Handler = std::function<HttpResponse(const HttpRequest&)>;
-
-enum class ServerMode : std::uint8_t {
-  kWorkerPool,           ///< dispatcher + fixed worker pool (default)
-  kThreadPerConnection,  ///< legacy baseline: one thread per connection
-};
 
 /// Aggregate construction options for HttpServer (the Options-struct API:
 /// new knobs land here without another positional parameter).
@@ -75,21 +64,18 @@ struct ServerOptions {
   /// excess connections receive a minimal "503 Service Unavailable" and are
   /// closed (load shedding).
   std::size_t max_connections = 256;
-  /// Per-connection read timeout. Worker pool: an idle keep-alive connection
-  /// past this is closed (by the dispatcher, or by the worker parked on it),
-  /// and a worker mid-read gives up after it. Thread-per-connection: plain
-  /// socket receive timeout.
+  /// Per-connection read timeout: an idle keep-alive connection past this is
+  /// closed (by the dispatcher, or by the worker parked on it), and a worker
+  /// mid-read gives up after it.
   std::chrono::milliseconds read_timeout = std::chrono::milliseconds(5000);
-  /// Serving architecture; see the header comment.
-  ServerMode mode = ServerMode::kWorkerPool;
-  /// Worker threads of the kWorkerPool mode; 0 = min(8, hardware cores).
+  /// Worker threads; 0 = min(8, hardware cores).
   std::size_t worker_threads = 0;
   /// Bound of the ready queue (readable connections awaiting a worker);
   /// a readable connection past it is shed with 503 + Retry-After.
   std::size_t queue_capacity = 256;
-  /// Admission policy in front of the ready queue (worker-pool mode). The
-  /// default AdmissionMode::kFixed reproduces the legacy queue_capacity
-  /// cliff; the adaptive modes shed early once measured queue delay exceeds
+  /// Admission policy in front of the ready queue. The default
+  /// AdmissionMode::kFixed reproduces the legacy queue_capacity cliff;
+  /// kQueueDelay sheds early once measured queue delay exceeds
   /// admission.target_delay (see net/admission.hpp). `limit_ceiling` is
   /// overridden with queue_capacity and `metrics` defaults to the server's
   /// registry, so callers normally set only `mode` and the delay target.
@@ -132,10 +118,6 @@ class HttpServer {
   /// Binds to 127.0.0.1:`options.port` and starts serving.
   HttpServer(ServerOptions options, Handler handler);
 
-  /// Deprecated positional form; forwards to the ServerOptions constructor.
-  HttpServer(std::uint16_t port, Handler handler, std::size_t max_connections = 256)
-      : HttpServer(positional_options(port, max_connections), std::move(handler)) {}
-
   /// Stops (see stop()) and joins every thread.
   ~HttpServer();
 
@@ -154,25 +136,16 @@ class HttpServer {
     return connections_shed_.load(std::memory_order_relaxed);
   }
 
-  /// The admission controller guarding the ready queue (worker-pool mode;
-  /// nullptr in thread-per-connection mode).
-  [[nodiscard]] AdmissionController* admission() noexcept { return admission_.get(); }
+  /// The admission controller guarding the ready queue.
+  [[nodiscard]] AdmissionController& admission() noexcept { return *admission_; }
 
-  /// Stops accepting, drains in-flight work (worker pool: everything already
-  /// in the ready queue is served with "Connection: close"), closes idle
-  /// connections, and joins every thread. Idempotent.
+  /// Stops accepting, drains in-flight work (everything already in the ready
+  /// queue is served with "Connection: close"), closes idle connections, and
+  /// joins every thread. Idempotent.
   void stop();
 
  private:
-  [[nodiscard]] static ServerOptions positional_options(std::uint16_t port,
-                                                        std::size_t max_connections) {
-    ServerOptions options;
-    options.port = port;
-    options.max_connections = max_connections;
-    return options;
-  }
-
-  // ---- shared request path ------------------------------------------------
+  // ---- request path ---------------------------------------------------------
 
   enum class RequestOutcome : std::uint8_t {
     kKeepAlive,  ///< response written, connection stays open
@@ -193,7 +166,7 @@ class HttpServer {
   /// estimate, floor 1 s) + X-Shed-Reason, then closes the stream.
   void shed_connection(TcpStream stream, ShedReason reason);
 
-  // ---- worker-pool mode ---------------------------------------------------
+  // ---- connections and threads ---------------------------------------------
 
   /// A pooled connection. Never moved after construction: `reader` holds a
   /// reference to `stream`, so connections travel as unique_ptrs between the
@@ -235,20 +208,6 @@ class HttpServer {
   void release(std::unique_ptr<Conn> conn) noexcept;
   void wake_dispatcher() noexcept;
 
-  // ---- thread-per-connection mode ----------------------------------------
-
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-    /// Socket fd of the connection while it is being served (-1 otherwise);
-    /// stop() shuts it down to unblock a thread waiting in recv().
-    std::atomic<int> fd{-1};
-  };
-
-  void accept_loop();
-  void serve_connection(TcpStream stream, Connection* connection);
-  void reap_finished();
-
   // ---- state --------------------------------------------------------------
 
   /// Lock-free handles into options_.metrics, resolved once at
@@ -269,12 +228,10 @@ class HttpServer {
   Handler handler_;
   ServerOptions options_;
   Metrics metrics_;
-  std::unique_ptr<AdmissionController> admission_;  ///< worker-pool mode only
+  std::unique_ptr<AdmissionController> admission_;
   std::atomic<bool> running_{true};
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> connections_shed_{0};
-
-  // worker-pool state
   std::atomic<std::size_t> admitted_{0};  ///< served + queued + idle conns
   std::vector<std::unique_ptr<Conn>> idle_;  ///< dispatcher-owned, no lock
   std::mutex queue_mutex_;
@@ -292,11 +249,6 @@ class HttpServer {
   std::unique_ptr<std::atomic<int>[]> worker_fds_;
   std::vector<std::thread> workers_;
   std::thread dispatcher_;
-
-  // thread-per-connection state
-  std::mutex connections_mutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
-  std::thread acceptor_;
 };
 
 /// Aggregate construction options shared by both HTTP clients (the
@@ -323,10 +275,6 @@ class HttpClient {
   HttpClient(std::string host, std::uint16_t port, ClientOptions options = {})
       : host_(std::move(host)), port_(port), options_(options) {}
 
-  /// Back-compat positional form (pre-ClientOptions signature).
-  HttpClient(std::string host, std::uint16_t port, std::chrono::milliseconds timeout)
-      : HttpClient(std::move(host), port, ClientOptions{.timeout = timeout}) {}
-
   /// Sends the request and waits for the response.
   /// Throws std::system_error / std::runtime_error on transport failures.
   [[nodiscard]] HttpResponse send(HttpRequest request);
@@ -349,11 +297,6 @@ class PersistentHttpClient {
  public:
   PersistentHttpClient(std::string host, std::uint16_t port, ClientOptions options = {})
       : host_(std::move(host)), port_(port), options_(options) {}
-
-  /// Back-compat positional form (pre-ClientOptions signature).
-  PersistentHttpClient(std::string host, std::uint16_t port,
-                       std::chrono::milliseconds timeout)
-      : PersistentHttpClient(std::move(host), port, ClientOptions{.timeout = timeout}) {}
 
   /// Sends a request over the persistent connection; reconnects once if the
   /// connection was closed by the peer since the last exchange. Injected

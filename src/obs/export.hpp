@@ -1,12 +1,12 @@
 // Exporters: render a Registry (or a pre-taken Snapshot) as text or JSON.
 //
-// Text is the human/prometheus-style form served by `/api/metrics?fmt=text`:
+// Text is the human/prometheus-style form served by `/api/v1/metrics?fmt=text`:
 //
 //   # HELP http_requests_total Requests by status class
 //   # TYPE http_requests_total counter
 //   http_requests_total{label="2xx"} 1042
 //
-// JSON is the machine form (default for `/api/metrics` and the bench
+// JSON is the machine form (default for `/api/v1/metrics` and the bench
 // `--metrics-out` dumps). It is deliberately self-contained — obs sits
 // below net/crawler in the dependency order, so it writes JSON by hand;
 // crawlersim::parse_json round-trips it (covered by tests/obs_test.cpp):

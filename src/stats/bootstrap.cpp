@@ -34,10 +34,4 @@ Interval bootstrap_mean_ci(std::span<const double> sample, util::Rng& rng,
   return Interval{quantile_sorted(means, alpha), quantile_sorted(means, 1.0 - alpha)};
 }
 
-Interval bootstrap_mean_ci(std::span<const double> sample, util::Rng& rng,
-                           std::size_t resamples, double confidence) {
-  return bootstrap_mean_ci(sample, rng,
-                           BootstrapOptions{.resamples = resamples, .confidence = confidence});
-}
-
 }  // namespace appstore::stats

@@ -39,11 +39,6 @@ struct BootstrapOptions {
 /// Percentile bootstrap CI for the mean. Consumes exactly one draw from
 /// `rng` (the base seed for the per-replicate derived streams).
 [[nodiscard]] Interval bootstrap_mean_ci(std::span<const double> sample, util::Rng& rng,
-                                         const BootstrapOptions& options);
-
-/// Deprecated positional form; forwards to the BootstrapOptions overload.
-[[nodiscard]] Interval bootstrap_mean_ci(std::span<const double> sample, util::Rng& rng,
-                                         std::size_t resamples = 1000,
-                                         double confidence = 0.95);
+                                         const BootstrapOptions& options = {});
 
 }  // namespace appstore::stats

@@ -160,8 +160,8 @@ TEST(Warm, FillsToCapacityOnly) {
 
 TEST(Sim, HitRatioComputation) {
   LruCache cache(2);
-  const std::vector<models::Request> requests = {{0, 1}, {0, 1}, {0, 2}, {0, 1}, {0, 3}, {0, 1}};
-  const SimResult result = simulate(cache, requests);
+  const std::vector<std::uint32_t> apps = {1, 1, 2, 1, 3, 1};
+  const SimResult result = simulate(cache, apps, {});
   EXPECT_EQ(result.requests, 6u);
   // miss(1) hit(1) miss(2) hit(1) miss(3,evict 2) hit(1) -> 3 hits
   EXPECT_EQ(result.hits, 3u);
@@ -170,23 +170,23 @@ TEST(Sim, HitRatioComputation) {
 
 TEST(Sim, WarmTopNHelpsPopularFirstRequest) {
   LruCache cold(2);
-  const std::vector<models::Request> requests = {{0, 0}, {0, 1}};
-  const SimResult cold_result = simulate(cold, requests, 0);
+  const std::vector<std::uint32_t> apps = {0, 1};
+  const SimResult cold_result = simulate(cold, apps, {});
   EXPECT_EQ(cold_result.hits, 0u);
 
   LruCache warm(2);
-  const SimResult warm_result = simulate(warm, requests, 2);
+  const SimResult warm_result = simulate(warm, apps, {.warm_top_n = 2});
   EXPECT_EQ(warm_result.hits, 2u);
 }
 
 TEST(Sim, SweepSizesMonotoneForLru) {
   // Cyclic stream over 30 apps: bigger LRU can only do better.
-  std::vector<models::Request> requests;
+  std::vector<std::uint32_t> apps;
   for (int round = 0; round < 20; ++round) {
-    for (std::uint32_t a = 0; a < 30; ++a) requests.push_back({0, a});
+    for (std::uint32_t a = 0; a < 30; ++a) apps.push_back(a);
   }
   const std::vector<std::size_t> sizes = {5, 10, 20, 30};
-  const auto points = sweep_cache_sizes(PolicyKind::kLru, sizes, requests);
+  const auto points = sweep_cache_sizes(PolicyKind::kLru, sizes, apps);
   ASSERT_EQ(points.size(), 4u);
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_GE(points[i].hit_ratio, points[i - 1].hit_ratio - 1e-12);
@@ -198,7 +198,7 @@ TEST(Sim, SweepSizesMonotoneForLru) {
 
 TEST(Sim, EmptyStream) {
   LruCache cache(2);
-  const SimResult result = simulate(cache, {});
+  const SimResult result = simulate(cache, std::span<const std::uint32_t>{}, {});
   EXPECT_EQ(result.requests, 0u);
   EXPECT_DOUBLE_EQ(result.hit_ratio(), 0.0);
 }

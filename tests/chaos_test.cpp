@@ -214,7 +214,7 @@ TEST(CircuitBreaker, ZeroThresholdDisables) {
 // ---- client/server seams over real sockets ---------------------------------------
 
 TEST(ClientSeam, SyntheticHttp500NeverReachesTheServer) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "real");
   });
   FaultPlan plan;
@@ -236,7 +236,7 @@ TEST(ClientSeam, SyntheticHttp500NeverReachesTheServer) {
 }
 
 TEST(ClientSeam, ConnectRefusedThrowsThenRecovers) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "up");
   });
   FaultPlan plan;
@@ -251,7 +251,7 @@ TEST(ClientSeam, ConnectRefusedThrowsThenRecovers) {
 }
 
 TEST(ClientSeam, InjectedResetBypassesPersistentRetry) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "up");
   });
   FaultPlan plan;
@@ -270,7 +270,7 @@ TEST(ClientSeam, InjectedResetBypassesPersistentRetry) {
 }
 
 TEST(ClientSeam, InjectedLatencyAdvancesVirtualTimeOnly) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "slow");
   });
   VirtualClock clock;

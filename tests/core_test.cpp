@@ -92,10 +92,10 @@ TEST_F(StudyFixture, FitPrefersClusteringOnOwnData) {
 }
 
 TEST(CacheStudy, ClusteringHurtsLru) {
-  const double scale = 0.02;  // 1200 apps, 12k users, 40k downloads
-  const auto zipf = cache_study(models::ModelKind::kZipf, scale, cache::PolicyKind::kLru, 7);
-  const auto clustering =
-      cache_study(models::ModelKind::kAppClustering, scale, cache::PolicyKind::kLru, 7);
+  // 1200 apps, 12k users, 40k downloads
+  const CacheStudyOptions options{.scale = 0.02, .policy = cache::PolicyKind::kLru, .seed = 7};
+  const auto zipf = cache_study(models::ModelKind::kZipf, options);
+  const auto clustering = cache_study(models::ModelKind::kAppClustering, options);
   ASSERT_EQ(zipf.points.size(), 20u);
   ASSERT_EQ(clustering.points.size(), 20u);
   // Fig. 19: clustering workloads produce a markedly lower LRU hit ratio.

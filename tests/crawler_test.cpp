@@ -354,14 +354,14 @@ TEST_F(ServiceFixture, MetaAndAppEndpoints) {
   net::Headers headers;
   headers["X-Client-Id"] = "proxy-eu-1";
 
-  const auto meta_response = client.get("/api/meta", headers);
+  const auto meta_response = client.get("/api/v1/meta", headers);
   ASSERT_EQ(meta_response.status, 200);
   const auto meta_json = parse_json(meta_response.body);
   ASSERT_TRUE(meta_json.has_value());
   EXPECT_EQ(meta_json->at("store").as_string(), "Anzhi");
   EXPECT_EQ(meta_json->at("total_apps").as_u64(), generated_->store->apps().size());
 
-  const auto app_response = client.get("/api/app/0", headers);
+  const auto app_response = client.get("/api/v1/app/0", headers);
   ASSERT_EQ(app_response.status, 200);
   const auto app_json = parse_json(app_response.body);
   EXPECT_EQ(app_json->at("downloads").as_u64(),
@@ -379,7 +379,7 @@ TEST_F(ServiceFixture, PaginationCoversDirectory) {
   std::size_t seen = 0;
   for (std::uint64_t page = 0;; ++page) {
     const auto response =
-        client.get(util::format("/api/apps?page={}&per_page=50", page), headers);
+        client.get(util::format("/api/v1/apps?page={}&per_page=50", page), headers);
     ASSERT_EQ(response.status, 200);
     const auto parsed = parse_json(response.body);
     const auto& ids = parsed->at("ids").as_array();
@@ -396,9 +396,9 @@ TEST_F(ServiceFixture, UnknownRoutesAnd404) {
   net::Headers headers;
   headers["X-Client-Id"] = "proxy-eu-1";
   EXPECT_EQ(client.get("/nope", headers).status, 404);
-  EXPECT_EQ(client.get("/api/app/999999", headers).status, 404);
-  EXPECT_EQ(client.get("/api/app/abc", headers).status, 404);
-  EXPECT_EQ(client.get("/api/apps?page=xyz", headers).status, 400);
+  EXPECT_EQ(client.get("/api/v1/app/999999", headers).status, 404);
+  EXPECT_EQ(client.get("/api/v1/app/abc", headers).status, 404);
+  EXPECT_EQ(client.get("/api/v1/apps?page=xyz", headers).status, 400);
 }
 
 TEST_F(ServiceFixture, RateLimiting429) {
@@ -410,14 +410,14 @@ TEST_F(ServiceFixture, RateLimiting429) {
   net::HttpClient client("127.0.0.1", service.port());
   net::Headers headers;
   headers["X-Client-Id"] = "proxy-eu-9";
-  EXPECT_EQ(client.get("/api/meta", headers).status, 200);
-  EXPECT_EQ(client.get("/api/meta", headers).status, 200);
-  EXPECT_EQ(client.get("/api/meta", headers).status, 200);
-  EXPECT_EQ(client.get("/api/meta", headers).status, 429);
+  EXPECT_EQ(client.get("/api/v1/meta", headers).status, 200);
+  EXPECT_EQ(client.get("/api/v1/meta", headers).status, 200);
+  EXPECT_EQ(client.get("/api/v1/meta", headers).status, 200);
+  EXPECT_EQ(client.get("/api/v1/meta", headers).status, 429);
   // A different client identity (proxy) is unaffected.
   net::Headers other;
   other["X-Client-Id"] = "proxy-eu-10";
-  EXPECT_EQ(client.get("/api/meta", other).status, 200);
+  EXPECT_EQ(client.get("/api/v1/meta", other).status, 200);
 }
 
 TEST_F(ServiceFixture, RegionGating403) {
@@ -428,10 +428,10 @@ TEST_F(ServiceFixture, RegionGating403) {
   net::HttpClient client("127.0.0.1", service.port());
   net::Headers european;
   european["X-Client-Id"] = "proxy-eu-1";
-  EXPECT_EQ(client.get("/api/meta", european).status, 403);
+  EXPECT_EQ(client.get("/api/v1/meta", european).status, 403);
   net::Headers chinese;
   chinese["X-Client-Id"] = "proxy-cn-1";
-  EXPECT_EQ(client.get("/api/meta", chinese).status, 200);
+  EXPECT_EQ(client.get("/api/v1/meta", chinese).status, 200);
 }
 
 TEST_F(ServiceFixture, DayGatesVisibility) {
@@ -441,16 +441,19 @@ TEST_F(ServiceFixture, DayGatesVisibility) {
   headers["X-Client-Id"] = "proxy-eu-1";
 
   service.set_day(0);
-  const auto early = parse_json(client.get("/api/meta", headers).body)->at("total_apps").as_u64();
+  const auto total_apps = [&] {
+    return parse_json(client.get("/api/v1/meta", headers).body)->at("total_apps").as_u64();
+  };
+  const auto early = total_apps();
   service.set_day(60);
-  const auto late = parse_json(client.get("/api/meta", headers).body)->at("total_apps").as_u64();
+  const auto late = total_apps();
   EXPECT_LT(early, late);  // new apps appeared during the crawl window
 
   // Downloads are cumulative in the day.
   service.set_day(0);
-  const auto d0 = parse_json(client.get("/api/app/0", headers).body)->at("downloads").as_u64();
+  const auto d0 = parse_json(client.get("/api/v1/app/0", headers).body)->at("downloads").as_u64();
   service.set_day(60);
-  const auto d60 = parse_json(client.get("/api/app/0", headers).body)->at("downloads").as_u64();
+  const auto d60 = parse_json(client.get("/api/v1/app/0", headers).body)->at("downloads").as_u64();
   EXPECT_LE(d0, d60);
   EXPECT_EQ(d60, generated_->store->downloads_of(market::AppId{0}));
 }
@@ -461,7 +464,7 @@ TEST_F(ServiceFixture, CommentsEndpointPaginates) {
   net::HttpClient client("127.0.0.1", service.port());
   net::Headers headers;
   headers["X-Client-Id"] = "proxy-eu-1";
-  const auto response = client.get("/api/app/0/comments?page=0", headers);
+  const auto response = client.get("/api/v1/app/0/comments?page=0", headers);
   ASSERT_EQ(response.status, 200);
   const auto parsed = parse_json(response.body);
   EXPECT_TRUE(parsed->at("comments").is_array());
@@ -470,7 +473,7 @@ TEST_F(ServiceFixture, CommentsEndpointPaginates) {
 TEST_F(ServiceFixture, CrawlerEndToEndMatchesGroundTruth) {
   AppstoreService service(*generated_->store, ServicePolicy{});
   CrawlDatabase database;
-  CrawlerConfig config;
+  CrawlerOptions config;
   config.port = service.port();
   config.proxy_count = 6;
   Crawler crawler(config, database);
@@ -499,22 +502,21 @@ TEST_F(ServiceFixture, CrawlerEndToEndMatchesGroundTruth) {
 
 TEST_F(ServiceFixture, CrawlerUsesOnlyVersionedApi) {
   // A recording front server relays every crawl request to the service and
-  // keeps its target: the crawler must never take a deprecated /api/* alias.
+  // keeps its target and status: the crawler must stay on /api/v1, the only
+  // URL space the service routes (anything else answers 404).
   AppstoreService service(*generated_->store, ServicePolicy{});
   service.set_day(60);
   std::mutex mutex;
-  std::vector<std::string> targets;
-  std::size_t deprecated = 0;
+  std::vector<std::pair<std::string, int>> relayed;
   net::HttpServer front(net::ServerOptions{}, [&](const net::HttpRequest& request) {
     net::HttpResponse response = service.respond(request);
     const std::lock_guard lock(mutex);
-    targets.push_back(request.target);
-    if (response.headers.contains("Deprecation")) ++deprecated;
+    relayed.emplace_back(request.target, response.status);
     return response;
   });
 
   CrawlDatabase database;
-  CrawlerConfig config;
+  CrawlerOptions config;
   config.port = front.port();
   config.fetch_comments = true;
   config.fetch_apks = true;
@@ -526,14 +528,14 @@ TEST_F(ServiceFixture, CrawlerUsesOnlyVersionedApi) {
   std::size_t apps = 0;
   std::size_t comments = 0;
   std::size_t apks = 0;
-  for (const std::string& target : targets) {
+  for (const auto& [target, status] : relayed) {
     EXPECT_TRUE(target.starts_with("/api/v1/")) << target;
+    EXPECT_NE(status, 404) << target;
     if (target.starts_with("/api/v1/apps?")) ++directory;
     if (target.find("/comments?") != std::string::npos) ++comments;
     if (target.ends_with("/apk")) ++apks;
     if (target.find('?') == std::string::npos && !target.ends_with("/apk")) ++apps;
   }
-  EXPECT_EQ(deprecated, 0u);
   EXPECT_GT(directory, 0u);
   EXPECT_GT(apps, 0u);
   EXPECT_GT(comments, 0u);
@@ -547,7 +549,7 @@ TEST_F(ServiceFixture, CrawlerSurvivesInjectedFailures) {
   service.set_day(60);
 
   CrawlDatabase database;
-  CrawlerConfig config;
+  CrawlerOptions config;
   config.port = service.port();
   config.proxy_count = 12;
   config.max_attempts = 8;
@@ -584,12 +586,12 @@ TEST_F(ServiceFixture, MetricsEndpointMatchesCrawlerTallies) {
   EXPECT_EQ(crawler_snapshot.find_counter("crawler_responses_total", "5xx")->value,
             stats.transient_failures);
 
-  // Scrape the service's own registry. /api/metrics bypasses region gating,
+  // Scrape the service's own registry. /api/v1/metrics bypasses region gating,
   // rate limiting and failure injection, so the scrape always succeeds.
   net::HttpClient client("127.0.0.1", service.port());
   net::Headers headers;
   headers["X-Client-Id"] = "proxy-eu-1";
-  const auto response = client.get("/api/metrics", headers);
+  const auto response = client.get("/api/v1/metrics", headers);
   ASSERT_EQ(response.status, 200);
   const auto parsed = parse_json(response.body);
   ASSERT_TRUE(parsed.has_value());
@@ -633,7 +635,7 @@ TEST_F(ServiceFixture, MetricsEndpointMatchesCrawlerTallies) {
   EXPECT_TRUE(found_latency);
 
   // The text exporter is reachable with ?fmt=text.
-  const auto text_response = client.get("/api/metrics?fmt=text", headers);
+  const auto text_response = client.get("/api/v1/metrics?fmt=text", headers);
   ASSERT_EQ(text_response.status, 200);
   EXPECT_NE(text_response.body.find("# TYPE service_requests_total counter"),
             std::string::npos);
@@ -646,7 +648,7 @@ TEST_F(ServiceFixture, CrawlerConvergesOnChineseProxies) {
   service.set_day(60);
 
   CrawlDatabase database;
-  CrawlerConfig config;
+  CrawlerOptions config;
   config.port = service.port();
   config.proxy_count = 9;  // 3 regions round-robin -> 3 Chinese proxies
   Crawler crawler(config, database);
@@ -664,7 +666,7 @@ TEST_F(ServiceFixture, ApkEndpointServesScannableBlobs) {
   net::Headers headers;
   headers["X-Client-Id"] = "proxy-eu-1";
 
-  const auto response = client.get("/api/app/0/apk", headers);
+  const auto response = client.get("/api/v1/app/0/apk", headers);
   ASSERT_EQ(response.status, 200);
   const auto scan = scan_apk(response.body);
   ASSERT_TRUE(scan.has_value());
@@ -675,7 +677,7 @@ TEST_F(ServiceFixture, ApkEndpointServesScannableBlobs) {
 TEST_F(ServiceFixture, CrawlerFetchesEachApkVersionOnce) {
   AppstoreService service(*generated_->store, ServicePolicy{});
   CrawlDatabase database;
-  CrawlerConfig config;
+  CrawlerOptions config;
   config.port = service.port();
   config.fetch_apks = true;
   Crawler crawler(config, database);

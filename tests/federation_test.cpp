@@ -662,6 +662,21 @@ TEST_F(FederationParity, ReplicatedDirectoryAndMetaAreByteIdentical) {
   }
 }
 
+TEST_F(FederationParity, UnversionedPathsAreNotFoundThroughGateway) {
+  // The gateway routes with AppstoreService::route, so a 2-shard gateway
+  // refuses the paths the service refuses, with the same envelope.
+  ASSERT_EQ(world_->shard_counts[1], 2u);
+  for (const std::string& target :
+       std::vector<std::string>{"/api/meta", "/api/query?kind=pareto_share", "/api/metrics",
+                                "/api", "/api/v1", "/api/v1meta"}) {
+    const net::HttpResponse response = gateway(1, target);
+    EXPECT_EQ(response.status, 404) << target;
+    const auto parsed = crawlersim::parse_json(response.body);
+    ASSERT_TRUE(parsed.has_value()) << target << ": " << response.body;
+    EXPECT_EQ(parsed->at("error").at("code").as_string(), "not_found") << target;
+  }
+}
+
 TEST_F(FederationParity, AppDownloadsSumAcrossShards) {
   const auto directory = parse_ok(single_store("/api/v1/apps?page=0"));
   const auto& ids = directory.at("ids").as_array();

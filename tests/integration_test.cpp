@@ -27,7 +27,7 @@ TEST(Pipeline, CrawlThenAnalyzeMatchesDirectAnalysis) {
   crawlersim::ServicePolicy policy;
   crawlersim::AppstoreService service(*generated.store, policy);
   crawlersim::CrawlDatabase database;
-  crawlersim::CrawlerConfig crawler_config;
+  crawlersim::CrawlerOptions crawler_config;
   crawler_config.port = service.port();
   crawlersim::Crawler crawler(crawler_config, database);
   for (const market::Day day : {0, 30, 60}) {
@@ -65,7 +65,7 @@ TEST(Pipeline, ModelRankingFromCrawledData) {
   crawlersim::AppstoreService service(*generated.store, crawlersim::ServicePolicy{});
   service.set_day(60);
   crawlersim::CrawlDatabase database;
-  crawlersim::CrawlerConfig crawler_config;
+  crawlersim::CrawlerOptions crawler_config;
   crawler_config.port = service.port();
   crawlersim::Crawler crawler(crawler_config, database);
   (void)crawler.crawl_day(60);
@@ -109,7 +109,7 @@ TEST(Pipeline, RateLimitedChinaCrawlStillCompletes) {
   service.set_day(65);
 
   crawlersim::CrawlDatabase database;
-  crawlersim::CrawlerConfig crawler_config;
+  crawlersim::CrawlerOptions crawler_config;
   crawler_config.port = service.port();
   crawler_config.proxy_count = 15;  // 5 per region
   crawler_config.max_attempts = 10;
@@ -123,13 +123,11 @@ TEST(Pipeline, RateLimitedChinaCrawlStillCompletes) {
 TEST(Pipeline, CacheStudyModelOrdering) {
   // Fig. 19's qualitative ordering: ZIPF >= ZIPF-at-most-once >>
   // APP-CLUSTERING in LRU hit ratio, across cache sizes.
-  const double scale = 0.02;
-  const auto zipf = core::cache_study(models::ModelKind::kZipf, scale,
-                                      cache::PolicyKind::kLru, 31);
-  const auto amo = core::cache_study(models::ModelKind::kZipfAtMostOnce, scale,
-                                     cache::PolicyKind::kLru, 31);
-  const auto clustering = core::cache_study(models::ModelKind::kAppClustering, scale,
-                                            cache::PolicyKind::kLru, 31);
+  const core::CacheStudyOptions options{
+      .scale = 0.02, .policy = cache::PolicyKind::kLru, .seed = 31};
+  const auto zipf = core::cache_study(models::ModelKind::kZipf, options);
+  const auto amo = core::cache_study(models::ModelKind::kZipfAtMostOnce, options);
+  const auto clustering = core::cache_study(models::ModelKind::kAppClustering, options);
   for (const std::size_t i : {std::size_t{0}, std::size_t{9}, std::size_t{19}}) {
     EXPECT_GT(zipf.points[i].hit_ratio, clustering.points[i].hit_ratio) << "size " << i;
     EXPECT_GT(amo.points[i].hit_ratio, clustering.points[i].hit_ratio) << "size " << i;

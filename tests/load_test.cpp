@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
 #include "chaos/clock.hpp"
 #include "crawler/json.hpp"
@@ -104,9 +105,11 @@ TEST(Workload, PopularitySkewFollowsZipf) {
   options.mix.zr = 1.0;
   std::uint64_t top_decile = 0;
   std::uint64_t total = 0;
+  constexpr std::string_view kAppPrefix = "/api/v1/app/";
   for (const auto& client : build_schedule(options).per_client) {
     for (const Request& request : client) {
-      const std::uint64_t id = std::stoull(request.target.substr(9));  // "/api/app/"
+      ASSERT_TRUE(request.target.starts_with(kAppPrefix)) << request.target;
+      const std::uint64_t id = std::stoull(request.target.substr(kAppPrefix.size()));
       top_decile += id < 100 ? 1 : 0;
       ++total;
     }
@@ -270,8 +273,8 @@ TEST(LoadReport, JsonRoundTripsThroughParser) {
 
   ServingComparison comparison;
   comparison.baseline = report;
-  comparison.worker_pool = report;
-  comparison.worker_pool.throughput_rps = 3200.0;
+  comparison.cached = report;
+  comparison.cached.throughput_rps = 3200.0;
   comparison.speedup = 5.0;
   comparison.cache_hits = 750;
   comparison.cache_misses = 50;
@@ -280,7 +283,9 @@ TEST(LoadReport, JsonRoundTripsThroughParser) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->at("speedup").as_number(), 5.0);
   EXPECT_EQ(parsed->at("response_cache_hits").as_u64(), 750u);
-  const auto& baseline = parsed->at("baseline_thread_per_connection");
+  EXPECT_DOUBLE_EQ(
+      parsed->at("worker_pool_with_cache").at("throughput_rps").as_number(), 3200.0);
+  const auto& baseline = parsed->at("worker_pool_without_cache");
   EXPECT_EQ(baseline.at("totals").at("issued").as_u64(), 800u);
   const auto& breakdown = baseline.at("totals").at("shed_breakdown");
   EXPECT_EQ(breakdown.at("accept").as_u64(), 3u);

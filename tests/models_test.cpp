@@ -460,7 +460,7 @@ TEST(Stream, CountsMatchWorkloadSemantics) {
   params.user_count = 200;
   const ZipfAtMostOnceModel model(params);
   util::Rng rng(17);
-  const auto stream = generate_stream(model, rng);
+  const auto stream = generate_stream_log(model, rng);
   EXPECT_NEAR(static_cast<double>(stream.size()), 2000.0, 1.0);  // 200 users * 10
 
   // Per-user at-most-once must hold across the interleaved stream too.
@@ -476,7 +476,7 @@ TEST(Stream, CapTruncatesUniformly) {
   params.user_count = 300;
   const ZipfModel model(params);
   util::Rng rng(18);
-  const auto stream = generate_stream(model, rng, 500);
+  const auto stream = generate_stream_log(model, rng, {.max_requests = 500});
   EXPECT_EQ(stream.size(), 500u);
   // Users from the whole range should appear (no head-of-list bias).
   std::set<std::uint32_t> users;
@@ -496,12 +496,12 @@ TEST(Stream, DeterministicForSameSeed) {
   const AppClusteringModel model(params, ClusterLayout::round_robin(500, 10));
   util::Rng rng_a(23);
   util::Rng rng_b(23);
-  const auto a = generate_stream(model, rng_a);
-  const auto b = generate_stream(model, rng_b);
+  const auto a = generate_stream_log(model, rng_a);
+  const auto b = generate_stream_log(model, rng_b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].user, b[i].user);
-    EXPECT_EQ(a[i].app, b[i].app);
+    EXPECT_EQ(a.user()[i], b.user()[i]);
+    EXPECT_EQ(a.app()[i], b.app()[i]);
   }
 }
 
@@ -513,9 +513,9 @@ TEST(Stream, AggregateCountsMatchDirectGeneration) {
   const ZipfAtMostOnceModel model(params);
   util::Rng rng_stream(29);
   util::Rng rng_batch(31);
-  const auto stream = generate_stream(model, rng_stream);
+  const auto stream = generate_stream_log(model, rng_stream);
   std::vector<std::uint64_t> stream_counts(params.app_count, 0);
-  for (const auto& request : stream) ++stream_counts[request.app];
+  for (const auto app : stream.app()) ++stream_counts[app];
   const auto batch = model.generate(rng_batch);
   for (std::size_t a = 0; a < 3; ++a) {
     const double expected = static_cast<double>(batch.downloads[a]);

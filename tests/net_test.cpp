@@ -163,7 +163,7 @@ TEST(HttpFraming, ServerClosesInsteadOfServingSmuggledRequest) {
 // ---- sockets + server integration -------------------------------------------------
 
 TEST(Server, EchoRoundTrip) {
-  HttpServer server(0, [](const HttpRequest& request) {
+  HttpServer server(ServerOptions{}, [](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.target);
   });
   HttpClient client("127.0.0.1", server.port());
@@ -174,7 +174,7 @@ TEST(Server, EchoRoundTrip) {
 }
 
 TEST(Server, HandlerExceptionBecomes500) {
-  HttpServer server(0, [](const HttpRequest&) -> HttpResponse {
+  HttpServer server(ServerOptions{}, [](const HttpRequest&) -> HttpResponse {
     throw std::runtime_error("boom");
   });
   HttpClient client("127.0.0.1", server.port());
@@ -184,7 +184,7 @@ TEST(Server, HandlerExceptionBecomes500) {
 
 TEST(Server, ConcurrentClients) {
   std::atomic<int> handled{0};
-  HttpServer server(0, [&](const HttpRequest&) {
+  HttpServer server(ServerOptions{}, [&](const HttpRequest&) {
     ++handled;
     return HttpResponse::text(200, "ok");
   });
@@ -210,14 +210,16 @@ TEST(Server, ConcurrentClients) {
 }
 
 TEST(Server, StopIsIdempotent) {
-  HttpServer server(0, [](const HttpRequest&) { return HttpResponse::text(200, ""); });
+  HttpServer server(ServerOptions{},
+                    [](const HttpRequest&) { return HttpResponse::text(200, ""); });
   server.stop();
   server.stop();  // second stop is a no-op
 }
 
 TEST(Server, LargeBodyRoundTrip) {
   const std::string large(512 * 1024, 'x');
-  HttpServer server(0, [&](const HttpRequest&) { return HttpResponse::text(200, large); });
+  HttpServer server(ServerOptions{},
+                    [&](const HttpRequest&) { return HttpResponse::text(200, large); });
   HttpClient client("127.0.0.1", server.port());
   const HttpResponse response = client.get("/big");
   EXPECT_EQ(response.body.size(), large.size());
@@ -308,7 +310,7 @@ TEST(Sockets, ConnectToClosedPortFails) {
 
 
 TEST(PersistentClient, ReusesOneConnection) {
-  HttpServer server(0, [](const HttpRequest& request) {
+  HttpServer server(ServerOptions{}, [](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.target);
   });
   PersistentHttpClient client("127.0.0.1", server.port());
@@ -320,7 +322,7 @@ TEST(PersistentClient, ReusesOneConnection) {
 }
 
 TEST(PersistentClient, ReconnectsAfterServerClose) {
-  HttpServer server(0, [](const HttpRequest&) {
+  HttpServer server(ServerOptions{}, [](const HttpRequest&) {
     HttpResponse response = HttpResponse::text(200, "ok");
     response.headers["Connection"] = "close";
     return response;
@@ -335,7 +337,8 @@ TEST(PersistentClient, ReconnectsAfterServerClose) {
 }
 
 TEST(PersistentClient, ResetForcesReconnect) {
-  HttpServer server(0, [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  HttpServer server(ServerOptions{},
+                    [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
   PersistentHttpClient client("127.0.0.1", server.port());
   EXPECT_EQ(client.get("/one").status, 200);
   client.reset();
@@ -358,7 +361,7 @@ TEST(PersistentClient, FailsCleanlyOnDeadServer) {
 // ---- client options --------------------------------------------------------------------
 
 TEST(ClientOptions, OptionsStructConstruction) {
-  HttpServer server(0, [](const HttpRequest& request) {
+  HttpServer server(ServerOptions{}, [](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.target);
   });
   ClientOptions options;
@@ -367,16 +370,6 @@ TEST(ClientOptions, OptionsStructConstruction) {
   EXPECT_EQ(client.get("/a").body, "echo:/a");
   PersistentHttpClient persistent("127.0.0.1", server.port(), options);
   EXPECT_EQ(persistent.get("/b").body, "echo:/b");
-}
-
-TEST(ClientOptions, TimeoutOverloadStillCompiles) {
-  // The pre-Options back-compat overload: a bare milliseconds timeout.
-  HttpServer server(0, [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
-  HttpClient client("127.0.0.1", server.port(), std::chrono::milliseconds(1500));
-  EXPECT_EQ(client.get("/x").status, 200);
-  PersistentHttpClient persistent("127.0.0.1", server.port(),
-                                  std::chrono::milliseconds(1500));
-  EXPECT_EQ(persistent.get("/y").status, 200);
 }
 
 TEST(RateLimiter, BurstThenBlocked) {

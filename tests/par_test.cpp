@@ -218,7 +218,7 @@ TEST(Stream, BitIdenticalAcrossRunsAndThreadCounts) {
 
   const auto run = [&](std::size_t threads) {
     util::Rng rng(42);
-    return models::generate_stream(*model, rng, models::StreamOptions{.threads = threads});
+    return models::generate_stream_log(*model, rng, models::StreamOptions{.threads = threads});
   };
   const auto serial = run(1);
   EXPECT_FALSE(serial.empty());
@@ -226,8 +226,8 @@ TEST(Stream, BitIdenticalAcrossRunsAndThreadCounts) {
     const auto stream = run(threads);
     ASSERT_EQ(stream.size(), serial.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      ASSERT_EQ(stream[i].user, serial[i].user) << "threads=" << threads << " i=" << i;
-      ASSERT_EQ(stream[i].app, serial[i].app) << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(stream.user()[i], serial.user()[i]) << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(stream.app()[i], serial.app()[i]) << "threads=" << threads << " i=" << i;
     }
   }
 }
@@ -235,7 +235,7 @@ TEST(Stream, BitIdenticalAcrossRunsAndThreadCounts) {
 TEST(Stream, MaxRequestsCapHolds) {
   const auto model = models::make_model(models::ModelKind::kZipf, small_params());
   util::Rng rng(7);
-  const auto stream = models::generate_stream(
+  const auto stream = models::generate_stream_log(
       *model, rng, models::StreamOptions{.max_requests = 500, .threads = 4});
   EXPECT_EQ(stream.size(), 500u);
 }
@@ -352,7 +352,7 @@ TEST(Bootstrap, ConsumesExactlyOneDraw) {
 TEST(Cache, ParallelSizeSweepMatchesSerial) {
   const auto model = models::make_model(models::ModelKind::kAppClustering, small_params());
   util::Rng rng(37);
-  const auto stream = models::generate_stream(*model, rng, models::StreamOptions{});
+  const auto stream = models::generate_stream_log(*model, rng);
   const std::vector<std::size_t> sizes = {4, 16, 64};
 
   const auto serial = cache::sweep_cache_sizes(cache::PolicyKind::kLru, sizes, stream, {},

@@ -940,10 +940,7 @@ TEST(ServiceRouting, TableDrivenRouteMatching) {
   const auto match = [](std::string_view path) { return AppstoreService::route(path); };
 
   EXPECT_EQ(match("/api/v1/meta").endpoint, Endpoint::kMeta);
-  EXPECT_TRUE(match("/api/v1/meta").versioned);
-  EXPECT_EQ(match("/api/meta").endpoint, Endpoint::kMeta);
-  EXPECT_FALSE(match("/api/meta").versioned);
-  EXPECT_TRUE(match("/api/meta").api);
+  EXPECT_EQ(match("/api/meta").endpoint, Endpoint::kOther);  // no unversioned aliases
 
   EXPECT_EQ(match("/api/v1/apps").endpoint, Endpoint::kApps);
   EXPECT_EQ(match("/api/v1/app/7").endpoint, Endpoint::kApp);
@@ -951,14 +948,14 @@ TEST(ServiceRouting, TableDrivenRouteMatching) {
   EXPECT_EQ(match("/api/v1/app/7/comments").endpoint, Endpoint::kComments);
   EXPECT_EQ(match("/api/v1/app/7/apk").endpoint, Endpoint::kApk);
   EXPECT_EQ(match("/api/v1/query").endpoint, Endpoint::kQuery);
-  EXPECT_EQ(match("/api/query").endpoint, Endpoint::kQuery);
+  EXPECT_EQ(match("/api/query").endpoint, Endpoint::kOther);
   EXPECT_EQ(match("/api/v1/metrics").endpoint, Endpoint::kMetrics);
 
   EXPECT_EQ(match("/api/v1/nope").endpoint, Endpoint::kOther);
-  EXPECT_TRUE(match("/api/v1/nope").api);
   EXPECT_EQ(match("/nope").endpoint, Endpoint::kOther);
-  EXPECT_FALSE(match("/nope").api);
-  EXPECT_EQ(match("/api/metadata").endpoint, Endpoint::kOther);  // no prefix match
+  EXPECT_EQ(match("/api/v1").endpoint, Endpoint::kOther);
+  EXPECT_EQ(match("/api/v1meta").endpoint, Endpoint::kOther);  // no prefix match
+  EXPECT_EQ(match("/api/v1/metadata").endpoint, Endpoint::kOther);
 }
 
 class ServiceQueryFixture : public ::testing::Test {
@@ -1122,26 +1119,17 @@ TEST_F(ServiceQueryFixture, ErrorEnvelopeCoversEveryPolicyGate) {
   EXPECT_NE(throttled.headers.find("Retry-After"), throttled.headers.end());
 }
 
-TEST_F(ServiceQueryFixture, LegacyAliasesAnswerWithDeprecationHeaders) {
-  const net::HttpResponse v1 = get("/api/v1/meta");
-  const net::HttpResponse legacy = get("/api/meta");
-  ASSERT_EQ(v1.status, 200);
-  ASSERT_EQ(legacy.status, 200);
-  EXPECT_EQ(v1.body, legacy.body);
-  EXPECT_EQ(v1.headers.find("Deprecation"), v1.headers.end());
-  ASSERT_NE(legacy.headers.find("Deprecation"), legacy.headers.end());
-  EXPECT_EQ(legacy.headers.find("Deprecation")->second, "true");
-  ASSERT_NE(legacy.headers.find("Link"), legacy.headers.end());
-  EXPECT_NE(legacy.headers.find("Link")->second.find("/api/v1/meta"), std::string::npos);
-
-  // The legacy query alias serves the same analytics.
-  const net::HttpResponse legacy_query = get("/api/query?kind=pareto_share");
-  ASSERT_EQ(legacy_query.status, 200);
-  EXPECT_EQ(legacy_query.body, get("/api/v1/query?kind=pareto_share").body);
-  EXPECT_NE(legacy_query.headers.find("Deprecation"), legacy_query.headers.end());
+TEST_F(ServiceQueryFixture, UnversionedPathsAreNotFound) {
+  ASSERT_EQ(get("/api/v1/meta").status, 200);
+  for (const char* target : {"/api/meta", "/api/query?kind=pareto_share", "/api/metrics",
+                             "/api", "/api/v1", "/api/v1meta"}) {
+    const net::HttpResponse response = get(target);
+    EXPECT_EQ(response.status, 404) << target;
+    EXPECT_EQ(envelope_code(response), "not_found") << target;
+  }
 }
 
-TEST_F(ServiceQueryFixture, QueryResponsesAreCachedPerDayAcrossAliases) {
+TEST_F(ServiceQueryFixture, QueryResponsesAreCachedPerDay) {
   const auto hits = [&] {
     const auto snapshot = service_->metrics().snapshot();
     const auto* counter = snapshot.find_counter("service_response_cache_total", "hit");
@@ -1154,13 +1142,10 @@ TEST_F(ServiceQueryFixture, QueryResponsesAreCachedPerDayAcrossAliases) {
   const net::HttpResponse second = get("/api/v1/query?kind=pareto_share");
   EXPECT_EQ(second.body, first.body);
   EXPECT_EQ(hits(), before + 1);
-  // The legacy alias shares the canonical cache entry.
-  (void)get("/api/query?kind=pareto_share");
-  EXPECT_EQ(hits(), before + 2);
   // Advancing the day invalidates.
   service_->set_day(61);
   (void)get("/api/v1/query?kind=pareto_share");
-  EXPECT_EQ(hits(), before + 2);
+  EXPECT_EQ(hits(), before + 1);
 
   // POST bodies key the cache too: different bodies, different entries.
   service_->set_day(60);

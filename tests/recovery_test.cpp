@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -663,13 +664,28 @@ TEST_F(RecoveryFixture, ConcurrentSnapshotReadersSurviveCheckpoints) {
       }
     });
   }
-  for (int round = 0; round < 12; ++round) {
+  // Before each checkpoint, wait until a reader has completed a read since
+  // the round began, so every checkpoint round provably overlaps reads no
+  // matter how the threads are scheduled. The deadline only catches readers
+  // that never make progress.
+  constexpr auto kReadDeadline = std::chrono::seconds(60);
+  bool reader_stalled = false;
+  for (int round = 0; round < 12 && !reader_stalled; ++round) {
+    const std::uint64_t reads_at_start = reads.load();
     durable.ingest_downloads(make_download_batch(static_cast<std::uint64_t>(round)));
     durable.ingest_comments(make_comment_batch(static_cast<std::uint64_t>(round)));
-    if (round % 3 == 2) (void)durable.checkpoint();
+    if (round % 3 != 2) continue;
+    const auto deadline = std::chrono::steady_clock::now() + kReadDeadline;
+    while (reads.load() == reads_at_start && !reader_stalled) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      reader_stalled = std::chrono::steady_clock::now() > deadline;
+    }
+    if (!reader_stalled) (void)durable.checkpoint();
   }
   stop.store(true);
   for (auto& reader : readers) reader.join();
+  ASSERT_FALSE(reader_stalled) << "no snapshot read completed within "
+                               << kReadDeadline.count() << " s of a checkpoint round";
   EXPECT_GT(reads.load(), 0u);
   durable.store().check_invariants();
   durable.close();

@@ -285,17 +285,17 @@ TEST_F(ResponseCacheTest, InvalidatedAcrossAdvanceDay) {
   Headers headers;
   headers["X-Client-Id"] = "proxy-eu-1";
 
-  const auto day0 = client.get("/api/meta", headers);
+  const auto day0 = client.get("/api/v1/meta", headers);
   ASSERT_EQ(day0.status, 200);
-  const auto day0_again = client.get("/api/meta", headers);
+  const auto day0_again = client.get("/api/v1/meta", headers);
   EXPECT_EQ(day0_again.body, day0.body);
   EXPECT_EQ(cache_counter(service, "hit"), 1u);
   EXPECT_EQ(cache_counter(service, "miss"), 1u);
 
   // Advancing the day must invalidate: the store grows as apps release, so
-  // a stale cached /api/meta would report the wrong total_apps.
+  // a stale cached /api/v1/meta would report the wrong total_apps.
   service.set_day(60);
-  const auto day60 = client.get("/api/meta", headers);
+  const auto day60 = client.get("/api/v1/meta", headers);
   ASSERT_EQ(day60.status, 200);
   EXPECT_EQ(cache_counter(service, "miss"), 2u);
   const auto parsed0 = crawlersim::parse_json(day0.body);
@@ -305,8 +305,8 @@ TEST_F(ResponseCacheTest, InvalidatedAcrossAdvanceDay) {
   EXPECT_GT(parsed60->at("total_apps").as_u64(), parsed0->at("total_apps").as_u64());
 
   // Directory pages are cached per (target, day) too.
-  const auto apps_first = client.get("/api/apps?page=0&per_page=50", headers);
-  const auto apps_second = client.get("/api/apps?page=0&per_page=50", headers);
+  const auto apps_first = client.get("/api/v1/apps?page=0&per_page=50", headers);
+  const auto apps_second = client.get("/api/v1/apps?page=0&per_page=50", headers);
   ASSERT_EQ(apps_first.status, 200);
   EXPECT_EQ(apps_first.body, apps_second.body);
   EXPECT_EQ(cache_counter(service, "hit"), 2u);
@@ -328,7 +328,7 @@ TEST_F(ResponseCacheTest, CachedAndUncachedBodiesAgree) {
   HttpRequest request;
   request.headers["X-Client-Id"] = "proxy-eu-1";
   for (const char* target :
-       {"/api/meta", "/api/apps?page=0&per_page=25", "/api/apps?page=1&per_page=25"}) {
+       {"/api/v1/meta", "/api/v1/apps?page=0&per_page=25", "/api/v1/apps?page=1&per_page=25"}) {
     request.target = target;
     const auto cold = cached.respond(request);
     const auto warm = cached.respond(request);  // second hit comes from cache

@@ -508,7 +508,7 @@ TEST(Bootstrap, BootstrapCiCoversMean) {
   util::Rng rng(3);
   for (int i = 0; i < 200; ++i) sample.push_back(rng.normal(10.0, 2.0));
   util::Rng boot_rng(4);
-  const Interval ci = bootstrap_mean_ci(sample, boot_rng, 500);
+  const Interval ci = bootstrap_mean_ci(sample, boot_rng, {.resamples = 500});
   EXPECT_TRUE(ci.contains(mean(sample)));
   // 95% CI of N(10, 2) with n=200 is roughly ±0.28 wide.
   EXPECT_LT(ci.width(), 1.5);

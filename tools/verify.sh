@@ -11,8 +11,10 @@
 #            arithmetic at block ends), the worker-pool server and load
 #            suites (parked-connection ownership), and the crawler suite
 #            (JSON number writer and seeded parser fuzz), under ASan
-#   load     worker-pool server + load-harness labels (default build)
-#   query    query-engine label (default build)
+#   load     worker-pool server + load-harness labels (default build), then
+#            bench_serving: the response cache on vs off (no exit gate)
+#   query    query-engine label (default build), then bench_query: exits
+#            non-zero below the 2x planned-vs-full-scan floor
 #   recovery durability suite (WAL, checkpoints, crash fuzz) under ASan,
 #            then bench_recovery with its replay-throughput floors
 #   ingest   bench_ingest: live vs stop-the-world, exits non-zero below the
@@ -68,17 +70,19 @@ if want chaos; then
 fi
 
 if want load; then
-  banner "load: server pool + load harness"
+  banner "load: server pool + load harness, then bench_serving"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$JOBS"
   ctest --test-dir build -L load --output-on-failure
+  ./build/bench/bench_serving --metrics-out=results/BENCH_serving_metrics.json
 fi
 
 if want query; then
-  banner "query: query engine label"
+  banner "query: query engine label, then bench_query (floor 2x)"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$JOBS"
   ctest --test-dir build -L query --output-on-failure
+  ./build/bench/bench_query --metrics-out=results/BENCH_query_metrics.json
 fi
 
 if want recovery; then
