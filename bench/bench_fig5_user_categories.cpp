@@ -12,7 +12,6 @@
 int main(int argc, char** argv) {
   using namespace appstore;
   benchx::BenchCli cli("bench_fig5_user_categories", "Fig. 5: users focus on few categories");
-  cli.raw();  // flags registered by BenchCli
   cli.parse(argc, argv);
   auto config = cli.config();
   config.comments = true;

@@ -242,24 +242,32 @@ BENCHMARK(BM_HttpRoundTripFaultSeam);
 
 // Closed-loop keep-alive round trips: state.range(0) PersistentHttpClients,
 // one per thread (the timed one plus range(0) - 1 background threads), on
-// one worker-pool server. BM_HttpRoundTrip pays a TCP handshake per request,
-// which hides the server's per-request connection handoff; this is the
-// crawler's pattern. cpu_us_per_req is process CPU (clients, dispatcher and
-// workers) per request completed on any connection during the timed loop;
-// req_per_s is those requests over the loop's wall time.
+// one worker-pool server, each exchanging pipelined batches of state.range(1)
+// requests (1 = one request, then wait for its response). BM_HttpRoundTrip
+// pays a TCP handshake per request, which hides the server's per-request
+// connection handoff; this is the crawler's pattern, and depth 16 is its
+// window. cpu_us_per_req is process CPU (clients, dispatcher and workers)
+// per request completed on any connection during the timed loop; req_per_s
+// is those requests over the loop's wall time.
 void BM_HttpKeepAliveRoundTrip(benchmark::State& state) {
   net::HttpServer server(net::ServerOptions{}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "pong");
   });
+  const auto depth = static_cast<std::size_t>(state.range(1));
+  const auto exchange_batch = [depth](net::PersistentHttpClient& client) {
+    std::vector<net::HttpRequest> batch(depth);
+    for (net::HttpRequest& request : batch) request.target = "/ping";
+    benchmark::DoNotOptimize(client.exchange(batch));
+  };
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> background_requests{0};
   std::vector<std::thread> background;
   for (std::int64_t i = 1; i < state.range(0); ++i) {
-    background.emplace_back([&server, &stop, &background_requests] {
+    background.emplace_back([&server, &stop, &background_requests, &exchange_batch, depth] {
       net::PersistentHttpClient client("127.0.0.1", server.port());
       while (!stop.load(std::memory_order_relaxed)) {
-        benchmark::DoNotOptimize(client.get("/ping"));
-        background_requests.fetch_add(1, std::memory_order_relaxed);
+        exchange_batch(client);
+        background_requests.fetch_add(depth, std::memory_order_relaxed);
       }
     });
   }
@@ -269,19 +277,19 @@ void BM_HttpKeepAliveRoundTrip(benchmark::State& state) {
   const double cpu_start = process_cpu_seconds();
   const auto wall_start = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(client.get("/ping"));
+    exchange_batch(client);
   }
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
   const double cpu = process_cpu_seconds() - cpu_start;
   const std::uint64_t requests =
-      static_cast<std::uint64_t>(state.iterations()) + background_requests.load() -
+      static_cast<std::uint64_t>(state.iterations()) * depth + background_requests.load() -
       background_start;
   stop.store(true);
   for (std::thread& thread : background) thread.join();
   state.counters["cpu_us_per_req"] = cpu * 1e6 / static_cast<double>(requests);
   state.counters["req_per_s"] = static_cast<double>(requests) / wall.count();
 }
-BENCHMARK(BM_HttpKeepAliveRoundTrip)->Arg(1)->Arg(4);
+BENCHMARK(BM_HttpKeepAliveRoundTrip)->ArgsProduct({{1, 4}, {1, 16}});
 
 void BM_CounterInc(benchmark::State& state) {
   obs::Counter counter;

@@ -13,8 +13,18 @@
 namespace appstore::crawlersim {
 
 namespace {
+
 constexpr std::string_view kComponent = "crawler";
-}
+
+/// App ids per pipelined window: each phase of a window is one write of up
+/// to this many requests per proxy connection (docs/performance.md,
+/// "Pipelined crawl").
+constexpr std::size_t kWindow = 16;
+
+/// Comments per page of /api/v1/app/<id>/comments.
+constexpr std::uint64_t kCommentsPerPage = 200;
+
+}  // namespace
 
 std::chrono::milliseconds decorrelated_backoff(std::chrono::milliseconds base,
                                                std::chrono::milliseconds cap,
@@ -87,171 +97,251 @@ std::optional<std::size_t> Crawler::pick_allowed(util::Rng& rng, bool& pool_empt
   return std::nullopt;  // every pick landed on a cooling-off proxy
 }
 
-std::optional<std::string> Crawler::fetch(const std::string& target, CrawlStats& stats,
-                                          std::size_t worker) {
-  const obs::ScopedTimer timer(metrics_.fetch_seconds);
-  // Deterministic per-target randomness: proxy picks and backoff draws come
-  // from a generator derived from (crawl seed, target) — never from a
-  // stream shared across targets — so a parallel crawl makes the same
-  // decisions for this target under any thread schedule.
-  util::Rng rng(util::rng::derive_seed(options_.seed, util::hash64(target)));
+Crawler::Fetch::Fetch(std::string target_in, std::uint64_t seed, std::chrono::milliseconds base)
+    : target(std::move(target_in)),
+      // Deterministic per-target randomness: proxy picks and backoff draws
+      // come from a generator derived from (crawl seed, target) — never from
+      // a stream shared across targets — so a parallel crawl makes the same
+      // decisions for this target under any thread schedule and window.
+      rng(util::rng::derive_seed(seed, util::hash64(target))),
+      previous(base) {}
+
+bool Crawler::backoff(Fetch& fetch) {
   const auto base = options_.rate_limit_backoff;
-  const auto cap = base * options_.backoff_cap_multiplier;
-  auto previous = base;
-  std::chrono::milliseconds slept{0};
-
-  const auto backoff = [&]() -> bool {
-    const auto delay = decorrelated_backoff(base, cap, previous, rng);
-    previous = delay;
-    if (slept + delay > options_.retry_budget) {
-      util::log_debug(kComponent, "retry budget exhausted for {}", target);
-      return false;
-    }
-    slept += delay;
-    chaos::sleep_or_real(options_.clock, delay);
-    return true;
-  };
-
-  for (std::uint32_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0 && metrics_.retries != nullptr) metrics_.retries->inc();
-    bool pool_empty = false;
-    const auto proxy_index = pick_allowed(rng, pool_empty);
-    if (!proxy_index.has_value()) {
-      if (pool_empty) {
-        util::log_warn(kComponent, "no healthy proxies left");
-        return std::nullopt;
-      }
-      // Every healthy proxy is cooling off; wait out part of the breaker
-      // timeout and try again (consumes an attempt).
-      if (!backoff()) return std::nullopt;
-      continue;
-    }
-    const net::Proxy& proxy = proxies_.proxy(*proxy_index);
-    net::CircuitBreaker& breaker = *breakers_[*proxy_index];
-    try {
-      net::Headers headers;
-      headers["X-Client-Id"] = proxy.id;
-      const net::HttpResponse response =
-          client_for(worker, *proxy_index).get(target, std::move(headers));
-      ++stats.requests;
-      if (metrics_.requests != nullptr) metrics_.requests->inc();
-
-      if (response.status == 200) {
-        breaker.record_success();
-        proxies_.report_success(*proxy_index);
-        return response.body;
-      }
-      if (response.status == 404) {
-        if (metrics_.by_status[3] != nullptr) metrics_.by_status[3]->inc();
-        breaker.record_success();
-        proxies_.report_success(*proxy_index);
-        return std::nullopt;  // not an infrastructure problem
-      }
-      if (response.status == 429) {
-        ++stats.rate_limited;
-        if (metrics_.by_status[0] != nullptr) metrics_.by_status[0]->inc();
-        // The proxy identity is saturated: the service answered, so the
-        // proxy is fine (no breaker/quarantine) — wait for its token
-        // bucket to refill, then retry (usually through a different proxy).
-        breaker.record_success();
-        if (!backoff()) return std::nullopt;
-        continue;
-      }
-      if (response.status == 403) {
-        ++stats.region_blocked;
-        if (metrics_.by_status[1] != nullptr) metrics_.by_status[1]->inc();
-        // Wrong region for this store: a deterministic rejection that will
-        // repeat forever — quarantine so the pool converges on usable
-        // (e.g. Chinese) proxies, as the paper's setup did.
-        breaker.record_success();
-        proxies_.report_failure(*proxy_index, 1);
-        continue;
-      }
-      // 5xx: transient infrastructure trouble — the breaker's domain.
-      ++stats.transient_failures;
-      if (metrics_.by_status[2] != nullptr) metrics_.by_status[2]->inc();
-      if (breaker.record_failure()) {
-        if (metrics_.breaker_open != nullptr) metrics_.breaker_open->inc();
-        util::log_debug(kComponent, "breaker opened for {}", proxy.id);
-      }
-    } catch (const std::exception& error) {
-      ++stats.requests;
-      ++stats.transient_failures;
-      if (metrics_.requests != nullptr) metrics_.requests->inc();
-      if (metrics_.by_status[2] != nullptr) metrics_.by_status[2]->inc();
-      if (breaker.record_failure()) {
-        if (metrics_.breaker_open != nullptr) metrics_.breaker_open->inc();
-        util::log_debug(kComponent, "breaker opened for {}", proxy.id);
-      }
-      util::log_debug(kComponent, "transport error via {}: {}", proxy.id, error.what());
-    }
+  const auto delay = decorrelated_backoff(base, base * options_.backoff_cap_multiplier,
+                                          fetch.previous, fetch.rng);
+  fetch.previous = delay;
+  if (fetch.slept + delay > options_.retry_budget) {
+    util::log_debug(kComponent, "retry budget exhausted for {}", fetch.target);
+    return false;
   }
-  return std::nullopt;
+  fetch.slept += delay;
+  chaos::sleep_or_real(options_.clock, delay);
+  return true;
 }
 
-void Crawler::crawl_app(std::uint32_t id, market::Day day, CrawlStats& stats,
-                        std::size_t worker) {
-  const auto body = fetch(util::format("/api/v1/app/{}", id), stats, worker);
-  if (!body.has_value()) return;
-  const auto parsed = parse_json(*body);
-  if (!parsed.has_value()) return;
-
-  AppRecord metadata;
-  metadata.id = id;
-  metadata.name = parsed->at("name").as_string();
-  metadata.category = parsed->at("category").as_string();
-  metadata.developer = parsed->at("developer").as_string();
-  metadata.paid = parsed->at("paid").as_bool();
-  metadata.has_ads = parsed->at("has_ads").as_bool();
-
-  AppObservation observation;
-  observation.downloads = parsed->at("downloads").as_u64();
-  observation.version = static_cast<std::uint32_t>(parsed->at("version").as_u64());
-  observation.price_dollars = parsed->at("price").as_number();
-
-  {
-    const std::lock_guard lock(database_mutex_);
-    database_.record(metadata, day, observation);
+void Crawler::finish(Fetch& fetch) {
+  fetch.done = true;
+  if (metrics_.fetch_seconds != nullptr) {
+    metrics_.fetch_seconds->observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - fetch.started)
+            .count());
   }
-  ++stats.apps_observed;
-  if (metrics_.apps != nullptr) metrics_.apps->inc();
+}
 
-  // APKs: fetched at most once per (app, version) across all crawl days —
+bool Crawler::begin_attempt(Fetch& fetch) {
+  for (; fetch.attempt < options_.max_attempts; ++fetch.attempt) {
+    if (fetch.attempt > 0 && metrics_.retries != nullptr) metrics_.retries->inc();
+    bool pool_empty = false;
+    const auto proxy_index = pick_allowed(fetch.rng, pool_empty);
+    if (proxy_index.has_value()) {
+      fetch.proxy = *proxy_index;
+      return true;
+    }
+    if (pool_empty) {
+      util::log_warn(kComponent, "no healthy proxies left");
+      break;
+    }
+    // Every healthy proxy is cooling off; wait out part of the breaker
+    // timeout and try again (consumes an attempt).
+    if (!backoff(fetch)) break;
+  }
+  finish(fetch);
+  return false;
+}
+
+void Crawler::judge(Fetch& fetch, net::ExchangeResult& result, CrawlStats& stats) {
+  ++stats.requests;
+  if (metrics_.requests != nullptr) metrics_.requests->inc();
+  const net::Proxy& proxy = proxies_.proxy(fetch.proxy);
+  net::CircuitBreaker& breaker = *breakers_[fetch.proxy];
+  const int status = result.response.has_value() ? result.response->status : 0;
+  if (status == 200) {
+    breaker.record_success();
+    proxies_.report_success(fetch.proxy);
+    fetch.body = std::move(result.response->body);
+    finish(fetch);
+    return;
+  }
+  if (status == 404) {
+    if (metrics_.by_status[3] != nullptr) metrics_.by_status[3]->inc();
+    breaker.record_success();
+    proxies_.report_success(fetch.proxy);
+    finish(fetch);  // not an infrastructure problem
+    return;
+  }
+  if (status == 429) {
+    ++stats.rate_limited;
+    if (metrics_.by_status[0] != nullptr) metrics_.by_status[0]->inc();
+    // The proxy identity is saturated: the service answered, so the proxy
+    // is fine (no breaker/quarantine) — wait for its token bucket to
+    // refill, then retry (usually through a different proxy).
+    breaker.record_success();
+    if (!backoff(fetch)) {
+      finish(fetch);
+      return;
+    }
+  } else if (status == 403) {
+    ++stats.region_blocked;
+    if (metrics_.by_status[1] != nullptr) metrics_.by_status[1]->inc();
+    // Wrong region for this store: a deterministic rejection that will
+    // repeat forever — quarantine so the pool converges on usable (e.g.
+    // Chinese) proxies, as the paper's setup did.
+    breaker.record_success();
+    proxies_.report_failure(fetch.proxy, 1);
+  } else {
+    // 5xx or a transport error: transient infrastructure trouble — the
+    // breaker's domain.
+    ++stats.transient_failures;
+    if (metrics_.by_status[2] != nullptr) metrics_.by_status[2]->inc();
+    if (breaker.record_failure()) {
+      if (metrics_.breaker_open != nullptr) metrics_.breaker_open->inc();
+      util::log_debug(kComponent, "breaker opened for {}", proxy.id);
+    }
+    if (result.error) {
+      try {
+        std::rethrow_exception(result.error);
+      } catch (const std::exception& error) {
+        util::log_debug(kComponent, "transport error via {}: {}", proxy.id, error.what());
+      }
+    }
+  }
+  ++fetch.attempt;
+}
+
+void Crawler::attempt(std::span<Fetch* const> batch, CrawlStats& stats, std::size_t worker) {
+  if (metrics_.fetch_seconds != nullptr) {
+    const auto now = std::chrono::steady_clock::now();
+    for (Fetch* fetch : batch) {
+      if (fetch->started == std::chrono::steady_clock::time_point{}) fetch->started = now;
+    }
+  }
+  // Picks first, in batch order, then one pipelined exchange per picked
+  // proxy (its connection), keeping batch order within it.
+  std::vector<Fetch*> picked;
+  picked.reserve(batch.size());
+  for (Fetch* fetch : batch) {
+    if (!fetch->done && begin_attempt(*fetch)) picked.push_back(fetch);
+  }
+  std::stable_sort(picked.begin(), picked.end(),
+                   [](const Fetch* a, const Fetch* b) { return a->proxy < b->proxy; });
+  std::vector<net::HttpRequest> requests;
+  for (std::size_t begin = 0; begin < picked.size();) {
+    const std::size_t proxy_index = picked[begin]->proxy;
+    std::size_t end = begin;
+    while (end < picked.size() && picked[end]->proxy == proxy_index) ++end;
+    requests.assign(end - begin, net::HttpRequest{});
+    for (std::size_t k = begin; k < end; ++k) {
+      requests[k - begin].target = picked[k]->target;
+      requests[k - begin].headers["X-Client-Id"] = proxies_.proxy(proxy_index).id;
+    }
+    auto results = client_for(worker, proxy_index).exchange(requests);
+    for (std::size_t k = begin; k < end; ++k) judge(*picked[k], results[k - begin], stats);
+    begin = end;
+  }
+}
+
+void Crawler::fetch_all(std::span<Fetch> fetches, CrawlStats& stats, std::size_t worker) {
+  std::vector<Fetch*> batch;
+  batch.reserve(fetches.size());
+  for (Fetch& fetch : fetches) batch.push_back(&fetch);
+  attempt(batch, stats, worker);
+  // Whatever did not finish continues its own retry loop, one target at a
+  // time (the retries are rare; their backoff sleeps dominate them).
+  for (Fetch* fetch : batch) {
+    while (!fetch->done) attempt(std::span(&fetch, 1), stats, worker);
+  }
+}
+
+void Crawler::crawl_window(std::span<const std::uint32_t> ids, market::Day day,
+                           CrawlStats& stats, std::size_t worker) {
+  std::vector<Fetch> fetches;
+  fetches.reserve(ids.size());
+  const auto add = [&](std::string target) {
+    fetches.emplace_back(std::move(target), options_.seed, options_.rate_limit_backoff);
+  };
+
+  // 1. Statistics pages.
+  for (const std::uint32_t id : ids) add(util::format("/api/v1/app/{}", id));
+  fetch_all(fetches, stats, worker);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> observed;  ///< (id, version)
+  observed.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!fetches[i].body.has_value()) continue;
+    const auto parsed = parse_json(*fetches[i].body);
+    if (!parsed.has_value()) continue;
+
+    AppRecord metadata;
+    metadata.id = ids[i];
+    metadata.name = parsed->at("name").as_string();
+    metadata.category = parsed->at("category").as_string();
+    metadata.developer = parsed->at("developer").as_string();
+    metadata.paid = parsed->at("paid").as_bool();
+    metadata.has_ads = parsed->at("has_ads").as_bool();
+
+    AppObservation observation;
+    observation.downloads = parsed->at("downloads").as_u64();
+    observation.version = static_cast<std::uint32_t>(parsed->at("version").as_u64());
+    observation.price_dollars = parsed->at("price").as_number();
+
+    {
+      const std::lock_guard lock(database_mutex_);
+      database_.record(metadata, day, observation);
+    }
+    ++stats.apps_observed;
+    if (metrics_.apps != nullptr) metrics_.apps->inc();
+    observed.emplace_back(ids[i], observation.version);
+  }
+
+  // 2. APKs: fetched at most once per (app, version) across all crawl days —
   // the paper's "we download each app version only once". Each app id is
   // owned by exactly one shard, so check-then-record cannot race.
   if (options_.fetch_apks) {
-    bool scanned = false;
+    std::vector<std::uint32_t> apk_ids;
     {
       const std::lock_guard lock(database_mutex_);
-      scanned = database_.apk_scanned(id, observation.version);
-    }
-    if (!scanned) {
-      const auto apk = fetch(util::format("/api/v1/app/{}/apk", id), stats, worker);
-      if (apk.has_value()) {
-        if (metrics_.apk_bytes != nullptr) metrics_.apk_bytes->inc(apk->size());
-        const auto scan = scan_apk(*apk);
-        if (scan.has_value()) {
-          const std::lock_guard lock(database_mutex_);
-          database_.record_apk_scan(id, scan->header.version, scan->has_ads());
-          ++stats.apks_fetched;
-        }
+      for (const auto& [id, version] : observed) {
+        if (!database_.apk_scanned(id, version)) apk_ids.push_back(id);
       }
+    }
+    fetches.clear();
+    for (const std::uint32_t id : apk_ids) add(util::format("/api/v1/app/{}/apk", id));
+    fetch_all(fetches, stats, worker);
+    for (std::size_t i = 0; i < apk_ids.size(); ++i) {
+      const auto& apk = fetches[i].body;
+      if (!apk.has_value()) continue;
+      if (metrics_.apk_bytes != nullptr) metrics_.apk_bytes->inc(apk->size());
+      const auto scan = scan_apk(*apk);
+      if (!scan.has_value()) continue;
+      const std::lock_guard lock(database_mutex_);
+      database_.record_apk_scan(apk_ids[i], scan->header.version, scan->has_ads());
+      ++stats.apks_fetched;
     }
   }
 
+  // 3. Comment pages: page 0 of every observed app, then page k + 1 of the
+  // apps whose page k says more follow.
   if (options_.fetch_comments) {
-    std::uint64_t comment_page = 0;
-    for (;;) {
-      const auto comments_body = fetch(
-          util::format("/api/v1/app/{}/comments?page={}", id, comment_page), stats, worker);
-      if (!comments_body.has_value()) break;
-      const auto comments = parse_json(*comments_body);
-      if (!comments.has_value()) break;
-      const auto& array = comments->at("comments").as_array();
-      stats.comments_observed += array.size();
-      const std::uint64_t total = comments->at("total").as_u64();
-      ++comment_page;
-      if (comment_page * 200 >= total || array.empty()) break;
+    std::vector<std::uint32_t> pending;
+    pending.reserve(observed.size());
+    for (const auto& [id, version] : observed) pending.push_back(id);
+    for (std::uint64_t page = 0; !pending.empty(); ++page) {
+      fetches.clear();
+      for (const std::uint32_t id : pending) {
+        add(util::format("/api/v1/app/{}/comments?page={}", id, page));
+      }
+      fetch_all(fetches, stats, worker);
+      std::vector<std::uint32_t> more;
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        if (!fetches[i].body.has_value()) continue;
+        const auto comments = parse_json(*fetches[i].body);
+        if (!comments.has_value()) continue;
+        const auto& array = comments->at("comments").as_array();
+        stats.comments_observed += array.size();
+        const std::uint64_t total = comments->at("total").as_u64();
+        if ((page + 1) * kCommentsPerPage < total && !array.empty()) more.push_back(pending[i]);
+      }
+      pending = std::move(more);
     }
   }
 }
@@ -266,9 +356,10 @@ CrawlStats Crawler::crawl_day(market::Day day) {
     const obs::TraceSpan directory_span(options_.metrics, "directory");
     std::uint64_t page = 0;
     for (;;) {
-      const auto body = fetch(
-          util::format("/api/v1/apps?page={}&per_page={}", page, options_.per_page), stats,
-          /*worker=*/0);
+      Fetch fetch(util::format("/api/v1/apps?page={}&per_page={}", page, options_.per_page),
+                  options_.seed, options_.rate_limit_backoff);
+      fetch_all(std::span(&fetch, 1), stats, /*worker=*/0);
+      const auto& body = fetch.body;
       if (!body.has_value()) {
         if (page == 0) throw std::runtime_error("crawl_day: cannot enumerate directory");
         break;
@@ -286,11 +377,13 @@ CrawlStats Crawler::crawl_day(market::Day day) {
     }
   }
 
-  // 2. Fetch per-app statistics, sharded across workers. grain = ceil(n /
-  // threads) yields at most `threads` shards, so the shard index doubles as
-  // the worker index into the per-worker client sets. Stats are accumulated
-  // per shard and summed in shard order — bit-identical for any thread
-  // count (the shard boundaries depend only on ids.size() and threads).
+  // 2. Fetch per-app statistics, sharded across workers, each shard in
+  // pipelined windows of kWindow ids. grain = ceil(n / threads) yields at
+  // most `threads` shards, so the shard index doubles as the worker index
+  // into the per-worker client sets. Stats are accumulated per shard and
+  // summed in shard order — bit-identical for any thread count (the shard
+  // boundaries depend only on ids.size() and threads, and a target's picks,
+  // faults and retries do not depend on its window).
   const obs::TraceSpan apps_span(options_.metrics, "apps");
   const std::size_t workers = std::max<std::size_t>(1, options_.threads);
   if (!ids.empty()) {
@@ -300,8 +393,9 @@ CrawlStats Crawler::crawl_day(market::Day day) {
     par_options.grain = (ids.size() + workers - 1) / workers;
     par::for_shards(ids.size(), par_options,
                     [&](std::size_t begin, std::size_t end, std::size_t shard) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        crawl_app(ids[i], day, shard_stats.at(shard), shard);
+                      for (std::size_t i = begin; i < end; i += kWindow) {
+                        crawl_window(std::span(ids).subspan(i, std::min(kWindow, end - i)),
+                                     day, shard_stats.at(shard), shard);
                       }
                     });
     for (const CrawlStats& shard : shard_stats) {

@@ -17,6 +17,11 @@
 // Retries back off with seeded decorrelated jitter and respect a cumulative
 // retry budget per fetch.
 //
+// Pipelining: each shard walks its app ids in fixed windows and, per window
+// and phase, writes all of the phase's requests to a keep-alive connection
+// at once, then reads the responses back in order — the several requests
+// in flight per connection of the paper's Scrapy crawler.
+//
 // Determinism: with `threads > 1` the per-app phase runs on appstore_par
 // shards, and every random decision (proxy picks, backoff draws) comes from
 // a generator derived from (crawl seed, request target) — never from a
@@ -24,9 +29,11 @@
 // count, with or without injected faults (see tests/robustness_test.cpp).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "chaos/clock.hpp"
@@ -138,21 +145,55 @@ class Crawler {
     obs::Histogram* fetch_seconds = nullptr; ///< crawler_fetch_seconds
   };
 
-  /// One GET with proxy rotation, breaker-aware picks, and jittered bounded
-  /// retries. Returns the body on HTTP 200, nullopt when the retry/attempt
-  /// budget is exhausted or the target 404s. `worker` selects the client
-  /// set; calls for one target must not run concurrently.
-  [[nodiscard]] std::optional<std::string> fetch(const std::string& target,
-                                                 CrawlStats& stats, std::size_t worker);
+  /// One target's fetch, resumable: its first attempt goes out pipelined
+  /// with the rest of its window and any retries follow one at a time, all
+  /// from this state. Proxy picks and backoff draws come from `rng`, derived
+  /// from (crawl seed, target), so a target makes the same decisions in any
+  /// window, under any thread schedule.
+  struct Fetch {
+    std::string target;
+    util::Rng rng;
+    std::chrono::milliseconds previous;  ///< last backoff delay
+    std::chrono::milliseconds slept{0};  ///< backoff spent so far
+    std::uint32_t attempt = 0;
+    std::size_t proxy = 0;  ///< proxy of the attempt in flight
+    bool done = false;
+    std::optional<std::string> body;  ///< the body of a 200, once done
+    std::chrono::steady_clock::time_point started{};  ///< its first batch began
+
+    Fetch(std::string target, std::uint64_t seed, std::chrono::milliseconds base);
+  };
+
+  /// GETs every target with proxy rotation, breaker-aware picks, and
+  /// jittered bounded retries. First attempts are pipelined: one batch per
+  /// picked proxy, in `fetches` order. Each target still unfinished then
+  /// runs its retry loop alone. A fetch ends with its body on HTTP 200 and
+  /// without one on 404 or when the retry/attempt budget is spent. `worker`
+  /// selects the client set; a target must be in one call at a time.
+  void fetch_all(std::span<Fetch> fetches, CrawlStats& stats, std::size_t worker);
+  /// One attempt for each unfinished fetch in `batch`.
+  void attempt(std::span<Fetch* const> batch, CrawlStats& stats, std::size_t worker);
+  /// Picks the proxy of `fetch`'s next attempt; false once it gave up.
+  [[nodiscard]] bool begin_attempt(Fetch& fetch);
+  /// Records one exchange's outcome: 200 and 404 finish the fetch, anything
+  /// else leaves it for its next attempt.
+  void judge(Fetch& fetch, net::ExchangeResult& result, CrawlStats& stats);
+  /// Sleeps the next decorrelated backoff; false when the retry budget is spent.
+  [[nodiscard]] bool backoff(Fetch& fetch);
+  /// Marks `fetch` done and records its crawler_fetch_seconds sample.
+  void finish(Fetch& fetch);
 
   /// Pool pick that skips proxies whose breaker is open; nullopt when no
   /// pick is currently possible (sets `pool_empty` when the pool itself has
   /// no healthy proxy, a permanent condition).
   [[nodiscard]] std::optional<std::size_t> pick_allowed(util::Rng& rng, bool& pool_empty);
 
-  /// Fetches one app's statistics page (and optionally APK + comments) and
-  /// records it; runs concurrently across shards.
-  void crawl_app(std::uint32_t id, market::Day day, CrawlStats& stats, std::size_t worker);
+  /// Crawls one window of app ids, phase by phase: the statistics pages,
+  /// the APKs of versions not yet scanned, then the comment pages. Each
+  /// phase pipelines its requests (see fetch_all). Records into the
+  /// database; runs concurrently across shards.
+  void crawl_window(std::span<const std::uint32_t> ids, market::Day day, CrawlStats& stats,
+                    std::size_t worker);
 
   /// One persistent connection per (worker, proxy identity) — workers never
   /// share a client, so the per-proxy sessions of the paper's setup remain

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 
 #include "par/parallel.hpp"
@@ -84,11 +85,30 @@ FitResult fit_model(models::ModelKind kind, std::span<const double> measured_by_
 
   if (candidates.empty()) return result;
 
+  // Each task keeps its cell's rank curve if the cell is the best so far,
+  // so the winner is never simulated twice. Cells compare on (distance,
+  // index) — a tie goes to the lower index — which picks the same cell as
+  // a serial `<` scan in grid order at any thread count; a cell without a
+  // finite distance never wins. At most threads + 1 curves are alive.
+  std::mutex best_mutex;
+  std::size_t best_index = candidates.size();  // none yet
+  std::vector<double> best_curve;
   const par::Options par_options{.threads = options.threads, .grain = 1};
   const std::vector<double> distances = par::parallel_map<double>(
       candidates.size(), par_options, [&](std::uint64_t i) {
         const auto model = models::make_model(kind, candidates[i]);
-        return evaluate_distance(*model, measured_by_rank, options.seed, options.analytic);
+        std::vector<double> curve;
+        const double distance = evaluate_distance(*model, measured_by_rank, options.seed,
+                                                  options.analytic, &curve);
+        const std::lock_guard lock(best_mutex);
+        if (distance < result.distance ||
+            (distance == result.distance && best_index < candidates.size() &&
+             i < best_index)) {
+          result.distance = distance;
+          best_index = static_cast<std::size_t>(i);
+          best_curve = std::move(curve);
+        }
+        return distance;
       });
 
   result.all.reserve(candidates.size());
@@ -97,16 +117,11 @@ FitResult fit_model(models::ModelKind kind, std::span<const double> measured_by_
     result.all.push_back(Candidate{params, distances[i]});
     util::log_debug(kComponent, "{} zr={} p={} zc={} -> distance {:.4f}", to_string(kind),
                     params.zr, params.p, params.zc, distances[i]);
-    if (distances[i] < result.distance) {
-      result.distance = distances[i];
-      result.best = params;
-    }
   }
-  // Re-simulate only the winning cell for its rank curve (same seed: the
-  // realization matches the one the sweep scored).
-  const auto best_model = models::make_model(kind, result.best);
-  (void)evaluate_distance(*best_model, measured_by_rank, options.seed, options.analytic,
-                          &result.simulated_by_rank);
+  if (best_index < candidates.size()) {
+    result.best = candidates[best_index];
+    result.simulated_by_rank = std::move(best_curve);
+  }
   return result;
 }
 

@@ -24,7 +24,8 @@ struct FitResult {
   models::ModelKind kind = models::ModelKind::kZipf;
   models::ModelParams best;
   double distance = 0.0;
-  /// Rank–download curve of the best candidate (descending).
+  /// Rank–download curve of the best candidate (descending), kept from the
+  /// sweep's own run of that cell. Empty when no cell had a finite distance.
   std::vector<double> simulated_by_rank;
   /// Every evaluated candidate, for sensitivity plots.
   std::vector<Candidate> all;

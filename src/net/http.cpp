@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <stdexcept>
+#include <type_traits>
 
-#include "util/format.hpp"
 #include "util/strings.hpp"
 
 namespace appstore::net {
@@ -39,29 +39,59 @@ std::map<std::string, std::string> HttpRequest::query() const {
   return parameters;
 }
 
-std::string HttpRequest::serialize() const {
-  std::string out = util::format("{} {} HTTP/1.1\r\n", method, target);
+namespace {
+
+void append_headers(const Headers& headers, std::string& out) {
   for (const auto& [name, value] : headers) {
-    out += util::format("{}: {}\r\n", name, value);
+    out += name;
+    out += ": ";
+    out += value;
+    out += "\r\n";
   }
+}
+
+}  // namespace
+
+void HttpRequest::serialize_into(std::string& out) const {
+  out += method;
+  out += ' ';
+  out += target;
+  out += " HTTP/1.1\r\n";
+  append_headers(headers, out);
   if (!body.empty() && !headers.contains("Content-Length")) {
-    out += util::format("Content-Length: {}\r\n", body.size());
+    out += "Content-Length: ";
+    out += std::to_string(body.size());
+    out += "\r\n";
   }
   out += "\r\n";
   out += body;
+}
+
+std::string HttpRequest::serialize() const {
+  std::string out;
+  serialize_into(out);
   return out;
 }
 
-std::string HttpResponse::serialize() const {
-  std::string out = util::format("HTTP/1.1 {} {}\r\n", status, reason);
-  for (const auto& [name, value] : headers) {
-    out += util::format("{}: {}\r\n", name, value);
-  }
+void HttpResponse::serialize_into(std::string& out) const {
+  out += "HTTP/1.1 ";
+  out += std::to_string(status);
+  out += ' ';
+  out += reason;
+  out += "\r\n";
+  append_headers(headers, out);
   if (!headers.contains("Content-Length")) {
-    out += util::format("Content-Length: {}\r\n", body.size());
+    out += "Content-Length: ";
+    out += std::to_string(body.size());
+    out += "\r\n";
   }
   out += "\r\n";
   out += body;
+}
+
+std::string HttpResponse::serialize() const {
+  std::string out;
+  serialize_into(out);
   return out;
 }
 
@@ -149,24 +179,39 @@ bool parse_response_head(std::string_view head, HttpResponse& out) {
 }
 
 bool HttpReader::fill() {
-  std::byte chunk[4096];
+  // 16 KiB per read: a pipelined batch of responses arrives in a few reads.
+  std::byte chunk[16 * 1024];
   const std::size_t n = stream_.read_some(chunk);
   if (n == 0) return false;
   buffer_.append(reinterpret_cast<const char*>(chunk), n);
   return true;
 }
 
-std::optional<std::string> HttpReader::read_head() {
+void HttpReader::compact() noexcept {
+  if (consumed_ == buffer_.size()) {
+    buffer_.clear();
+    consumed_ = 0;
+  } else if (consumed_ > buffer_.size() / 2) {
+    // Once per half buffer, not once per message: a pipelined batch is not
+    // memmoved for each request taken off its front.
+    buffer_.erase(0, consumed_);
+    consumed_ = 0;
+  }
+}
+
+std::optional<std::string_view> HttpReader::read_head(bool may_block) {
   for (;;) {
     const std::size_t end = buffer_.find("\r\n\r\n", consumed_);
     if (end != std::string::npos) {
-      std::string head = buffer_.substr(consumed_, end - consumed_ + 2);  // keep last CRLF
+      // Keep the last CRLF.
+      const std::string_view head(buffer_.data() + consumed_, end - consumed_ + 2);
       consumed_ = end + 4;
       return head;
     }
     if (buffer_.size() - consumed_ > max_head_) {
       throw std::runtime_error("HttpReader: header block too large");
     }
+    if (!may_block) return std::nullopt;
     if (!fill()) {
       if (buffer_.size() == consumed_) return std::nullopt;  // clean EOF
       throw std::runtime_error("HttpReader: EOF inside header block");
@@ -174,45 +219,58 @@ std::optional<std::string> HttpReader::read_head() {
   }
 }
 
-std::string HttpReader::read_body(const Headers& headers) {
+std::optional<std::string> HttpReader::read_body(const Headers& headers, bool may_block) {
   const auto it = headers.find("Content-Length");
-  if (it == headers.end()) return {};
+  if (it == headers.end()) return std::string();
   std::uint64_t length = 0;
   if (!util::parse_u64(it->second, length)) {
     throw std::runtime_error("HttpReader: bad Content-Length");
   }
   if (length > max_body_) throw std::runtime_error("HttpReader: body too large");
   while (buffer_.size() - consumed_ < length) {
+    if (!may_block) return std::nullopt;
     if (!fill()) throw std::runtime_error("HttpReader: EOF inside body");
   }
   std::string body = buffer_.substr(consumed_, length);
   consumed_ += length;
-  // Compact the buffer so long-lived connections don't grow it unboundedly.
-  buffer_.erase(0, consumed_);
-  consumed_ = 0;
   return body;
 }
 
-std::optional<HttpRequest> HttpReader::read_request() {
-  const auto head = read_head();
+template <typename Message>
+std::optional<Message> HttpReader::read_message(bool may_block) {
+  const std::size_t start = consumed_;
+  const auto head = read_head(may_block);
   if (!head.has_value()) return std::nullopt;
-  HttpRequest request;
-  if (!parse_request_head(*head, request)) {
-    throw std::runtime_error("HttpReader: malformed request head");
+  Message message;
+  if constexpr (std::is_same_v<Message, HttpRequest>) {
+    if (!parse_request_head(*head, message)) {
+      throw std::runtime_error("HttpReader: malformed request head");
+    }
+  } else {
+    if (!parse_response_head(*head, message)) {
+      throw std::runtime_error("HttpReader: malformed response head");
+    }
   }
-  request.body = read_body(request.headers);
-  return request;
+  auto body = read_body(message.headers, may_block);
+  if (!body.has_value()) {
+    consumed_ = start;  // the body is not all here yet: leave the message whole
+    return std::nullopt;
+  }
+  message.body = std::move(*body);
+  compact();
+  return message;
+}
+
+std::optional<HttpRequest> HttpReader::read_request() {
+  return read_message<HttpRequest>(/*may_block=*/true);
+}
+
+std::optional<HttpRequest> HttpReader::buffered_request() {
+  return read_message<HttpRequest>(/*may_block=*/false);
 }
 
 std::optional<HttpResponse> HttpReader::read_response() {
-  const auto head = read_head();
-  if (!head.has_value()) return std::nullopt;
-  HttpResponse response;
-  if (!parse_response_head(*head, response)) {
-    throw std::runtime_error("HttpReader: malformed response head");
-  }
-  response.body = read_body(response.headers);
-  return response;
+  return read_message<HttpResponse>(/*may_block=*/true);
 }
 
 }  // namespace appstore::net

@@ -37,6 +37,8 @@ struct HttpRequest {
   [[nodiscard]] std::map<std::string, std::string> query() const;
 
   [[nodiscard]] std::string serialize() const;
+  /// Appends the wire form to `out` (a pipelined batch is one buffer).
+  void serialize_into(std::string& out) const;
 };
 
 struct HttpResponse {
@@ -46,6 +48,8 @@ struct HttpResponse {
   std::string body;
 
   [[nodiscard]] std::string serialize() const;
+  /// Appends the wire form to `out` (a pipelined batch is one buffer).
+  void serialize_into(std::string& out) const;
 
   [[nodiscard]] static HttpResponse text(int status, std::string body);
   [[nodiscard]] static HttpResponse json(int status, std::string body);
@@ -60,19 +64,28 @@ class HttpFramingError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Incremental reader for one HTTP message off a TcpStream. Enforces limits
-/// on header and body sizes (a crawler must survive a misbehaving server and
-/// a server a misbehaving client).
+/// Incremental reader for HTTP messages off a TcpStream, one after another
+/// on a persistent (possibly pipelined) connection. Enforces limits on
+/// header and body sizes (a crawler must survive a misbehaving server and a
+/// server a misbehaving client). Consumed bytes are dropped once the buffer
+/// drains or once they pass half of it, so a long-lived connection holds at
+/// most about one batch of unread bytes, not everything it ever received.
 class HttpReader {
  public:
   explicit HttpReader(TcpStream& stream, std::size_t max_head = 64 * 1024,
                       std::size_t max_body = 8 * 1024 * 1024)
       : stream_(stream), max_head_(max_head), max_body_(max_body) {}
 
-  /// Reads one request. nullopt on clean EOF before any byte.
-  /// Throws HttpFramingError on ambiguous framing and std::runtime_error on
-  /// other malformed input or limit violations.
+  /// Reads one request, blocking on the socket as needed. nullopt on clean
+  /// EOF before any byte. Throws HttpFramingError on ambiguous framing and
+  /// std::runtime_error on other malformed input or limit violations.
   [[nodiscard]] std::optional<HttpRequest> read_request();
+
+  /// The next request if it is already complete in the buffer; never reads
+  /// the socket (nullopt otherwise). A server that holds unsent responses
+  /// takes requests this way and flushes before falling back to
+  /// read_request(), which can block. Throws like read_request().
+  [[nodiscard]] std::optional<HttpRequest> buffered_request();
 
   /// Reads one response. nullopt on clean EOF before any byte.
   [[nodiscard]] std::optional<HttpResponse> read_response();
@@ -83,10 +96,23 @@ class HttpReader {
   /// would never report them readable.
   [[nodiscard]] bool buffered() const noexcept { return consumed_ < buffer_.size(); }
 
+  /// Bytes held in the buffer, consumed or not (regression tests bound it).
+  [[nodiscard]] std::size_t retained_bytes() const noexcept { return buffer_.size(); }
+
  private:
-  [[nodiscard]] std::optional<std::string> read_head();
-  [[nodiscard]] std::string read_body(const Headers& headers);
+  /// Reads the next message; with `may_block` false it only parses what is
+  /// buffered and leaves an incomplete message unconsumed.
+  template <typename Message>
+  [[nodiscard]] std::optional<Message> read_message(bool may_block);
+  /// The next head (up to and including its last CRLF), valid until the
+  /// next fill(); nullopt on clean EOF, or when `may_block` is false and the
+  /// head is not complete in the buffer.
+  [[nodiscard]] std::optional<std::string_view> read_head(bool may_block);
+  /// nullopt only when `may_block` is false and the body is not buffered.
+  [[nodiscard]] std::optional<std::string> read_body(const Headers& headers, bool may_block);
   [[nodiscard]] bool fill();
+  /// Drops the consumed prefix when the buffer drained or it passed half.
+  void compact() noexcept;
 
   TcpStream& stream_;
   std::size_t max_head_;

@@ -249,15 +249,12 @@ void HttpServer::shed_connection(TcpStream stream, ShedReason reason) {
 
 // ---- request path -----------------------------------------------------------
 
-HttpServer::RequestOutcome HttpServer::serve_one(HttpReader& reader, TcpStream& stream) {
-  const auto request = reader.read_request();
-  if (!request.has_value()) return RequestOutcome::kClose;  // client closed
-
+HttpServer::RequestOutcome HttpServer::serve_one(const HttpRequest& request,
+                                                 PendingWrites& pending) {
   // Server-side chaos seam: decided after parsing, before the handler.
   std::optional<HttpResponse> injected;
   if (options_.faults != nullptr) {
-    const chaos::Fault fault =
-        options_.faults->next(chaos::FaultSite::kServer, request->target);
+    const chaos::Fault fault = options_.faults->next(chaos::FaultSite::kServer, request.target);
     switch (fault.kind) {
       case chaos::FaultKind::kConnectionReset:
         return RequestOutcome::kDropped;  // abrupt close: client sees a dead conn
@@ -280,15 +277,15 @@ HttpServer::RequestOutcome HttpServer::serve_one(HttpReader& reader, TcpStream& 
     response = std::move(*injected);
   } else {
     try {
-      response = handler_(*request);
+      response = handler_(request);
     } catch (const std::exception& error) {
       util::log_warn(kComponent, "handler threw: {}", error.what());
       response = HttpResponse::text(500, "internal error");
     }
   }
   const bool client_close = [&] {
-    const auto it = request->headers.find("Connection");
-    return it != request->headers.end() && util::equals_ci(it->second, "close");
+    const auto it = request.headers.find("Connection");
+    return it != request.headers.end() && util::equals_ci(it->second, "close");
   }();
   // Graceful drain: requests already admitted when stop() began are still
   // served, but their response tells the client not to reuse the connection.
@@ -300,14 +297,21 @@ HttpServer::RequestOutcome HttpServer::serve_one(HttpReader& reader, TcpStream& 
   const std::size_t band = status_class(response.status);
   if (metrics_.requests_by_class[band] != nullptr) {
     metrics_.requests_by_class[band]->inc();
+    pending.timings.emplace_back(band, handle_start);
   }
-  stream.write_all(response.serialize());
-  if (metrics_.latency_by_class[band] != nullptr) {
-    metrics_.latency_by_class[band]->observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - handle_start)
-            .count());
-  }
+  response.serialize_into(pending.bytes);
   return close_requested ? RequestOutcome::kClose : RequestOutcome::kKeepAlive;
+}
+
+void HttpServer::flush(TcpStream& stream, PendingWrites& pending) {
+  if (pending.bytes.empty()) return;
+  stream.write_all(pending.bytes);
+  pending.bytes.clear();
+  const auto now = std::chrono::steady_clock::now();
+  for (const auto& [band, start] : pending.timings) {
+    metrics_.latency_by_class[band]->observe(std::chrono::duration<double>(now - start).count());
+  }
+  pending.timings.clear();
 }
 
 // ---- connections and threads ------------------------------------------------
@@ -536,23 +540,42 @@ HttpServer::ParkOutcome HttpServer::park(std::size_t index, Conn& conn) {
 }
 
 bool HttpServer::serve_ready(Conn& conn) {
+  // Responses to pipelined requests that are already buffered collect in
+  // `pending` and go out in one write. Flush before every read that can
+  // block (and past kFlushBytes, which bounds the batch's memory).
+  constexpr std::size_t kFlushBytes = 64 * 1024;
+  PendingWrites pending;
   try {
     for (;;) {
-      switch (serve_one(conn.reader, conn.stream)) {
-        case RequestOutcome::kKeepAlive:
-          // Pipelined bytes live in the reader's buffer, invisible to
-          // poll(): serve them now or they would never be seen again.
-          if (conn.reader.buffered()) continue;
-          return true;
-        case RequestOutcome::kClose:
-        case RequestOutcome::kDropped:
-          return false;
+      auto request = conn.reader.buffered_request();
+      if (!request.has_value()) {
+        flush(conn.stream, pending);
+        request = conn.reader.read_request();
+        if (!request.has_value()) return false;  // client closed
       }
+      if (serve_one(*request, pending) != RequestOutcome::kKeepAlive) {
+        // Close or injected reset: the responses already served still go
+        // out, and nothing after this request is answered.
+        flush(conn.stream, pending);
+        return false;
+      }
+      // Pipelined bytes live in the reader's buffer, invisible to poll():
+      // serve them now or they would never be seen again.
+      if (!conn.reader.buffered()) {
+        flush(conn.stream, pending);
+        return true;
+      }
+      if (pending.bytes.size() >= kFlushBytes) flush(conn.stream, pending);
     }
   } catch (const std::exception& error) {
     // Connection-level failures (timeouts, resets, malformed input) only
-    // terminate this connection.
+    // terminate this connection; what was already served is still sent.
     util::log_debug(kComponent, "connection ended: {}", error.what());
+    try {
+      flush(conn.stream, pending);
+    } catch (const std::exception&) {
+      // The peer is gone; nothing more to do.
+    }
     return false;
   }
 }
@@ -599,39 +622,80 @@ void PersistentHttpClient::ensure_connected() {
   ++connections_opened_;
 }
 
-HttpResponse PersistentHttpClient::send_once(const HttpRequest& request) {
+void PersistentHttpClient::write_and_read(std::string_view wire,
+                                          std::span<const std::size_t> slots,
+                                          std::vector<ExchangeResult>& results,
+                                          std::size_t& answered) {
   ensure_connected();
-  stream_.write_all(request.serialize());
-  auto response = reader_->read_response();
-  if (!response.has_value()) {
-    throw std::runtime_error("PersistentHttpClient: connection closed by peer");
+  stream_.write_all(wire);
+  for (; answered < slots.size(); ++answered) {
+    if (!stream_.valid()) {
+      throw std::runtime_error("PersistentHttpClient: connection closed by peer");
+    }
+    auto response = reader_->read_response();
+    if (!response.has_value()) {
+      throw std::runtime_error("PersistentHttpClient: connection closed by peer");
+    }
+    const auto connection = response->headers.find("Connection");
+    if (connection != response->headers.end() && util::equals_ci(connection->second, "close")) {
+      reset();  // any later slot finds the connection gone
+    }
+    results[slots[answered]].response = std::move(*response);
   }
-  const auto connection = response->headers.find("Connection");
-  if (connection != response->headers.end() && util::equals_ci(connection->second, "close")) {
-    reset();
+}
+
+std::vector<ExchangeResult> PersistentHttpClient::exchange(std::span<HttpRequest> requests) {
+  std::vector<ExchangeResult> results(requests.size());
+  // Injected faults are decided up front, per request in pipeline order, so
+  // they bypass the reconnect-retry below: an injected reset must surface
+  // to the caller, not be healed.
+  std::vector<std::size_t> slots;
+  slots.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    try {
+      if (auto injected =
+              apply_exchange_fault(options_, requests[i].target, [this] { reset(); })) {
+        results[i].response = std::move(*injected);
+        continue;
+      }
+    } catch (const std::exception&) {
+      results[i].error = std::current_exception();
+      continue;
+    }
+    slots.push_back(i);
   }
-  return std::move(*response);
+  if (slots.empty()) return results;
+
+  std::string wire;
+  for (const std::size_t i : slots) {
+    requests[i].headers["Host"] = host_;
+    requests[i].serialize_into(wire);
+  }
+  const bool had_connection = stream_.valid();
+  std::size_t answered = 0;
+  for (int attempt = 0;; ++attempt) {
+    try {
+      write_and_read(wire, slots, results, answered);
+      return results;
+    } catch (const std::exception&) {
+      reset();
+      // A stale kept-alive connection (the server timed it out between
+      // exchanges) fails before its first response: send the batch once
+      // more on a fresh connection. A failure on a brand-new connection,
+      // or after some responses, is real and goes to the unanswered slots.
+      if (attempt > 0 || !had_connection || answered > 0) {
+        const std::exception_ptr error = std::current_exception();
+        for (std::size_t k = answered; k < slots.size(); ++k) results[slots[k]].error = error;
+        return results;
+      }
+    }
+  }
 }
 
 HttpResponse PersistentHttpClient::send(HttpRequest request) {
-  // Injected faults are decided up front so they bypass the reconnect-retry
-  // below: an injected reset must surface to the caller, not be healed.
-  if (auto injected =
-          apply_exchange_fault(options_, request.target, [this] { reset(); })) {
-    return std::move(*injected);
-  }
-  request.headers["Host"] = host_;
-  const bool had_connection = stream_.valid();
-  try {
-    return send_once(request);
-  } catch (const std::exception&) {
-    // A stale kept-alive connection (server timed it out between requests)
-    // fails on first use; retry once on a fresh connection. A failure on a
-    // brand-new connection is a real error and propagates.
-    reset();
-    if (!had_connection) throw;
-  }
-  return send_once(request);
+  auto results = exchange(std::span(&request, 1));
+  if (results.front().error) std::rethrow_exception(results.front().error);
+  return std::move(*results.front().response);
 }
 
 HttpResponse PersistentHttpClient::get(std::string target, Headers headers) {

@@ -7,7 +7,8 @@
 //   * A fixed pool of worker threads serves *readable* connections handed
 //     over through a bounded ready queue: a worker reads one request (plus
 //     any pipelined requests already buffered), runs the handler, and writes
-//     the response.
+//     the responses — every response to an already-buffered request goes
+//     out in one write, flushed before any read that could block.
 //   * Parking: after a keep-alive response, a worker that finds the ready
 //     queue empty keeps the connection and polls it together with its own
 //     eventfd, for at most the connection's remaining read_timeout. The next
@@ -36,10 +37,16 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/clock.hpp"
@@ -153,10 +160,22 @@ class HttpServer {
     kDropped,    ///< injected reset: close without a response
   };
 
-  /// Reads and serves exactly one request off `reader`/`stream` (fault seam,
-  /// handler, metrics, response write). kClose when the client half-closed
-  /// before a request, asked for close, or the server is draining.
-  RequestOutcome serve_one(HttpReader& reader, TcpStream& stream);
+  /// Responses served but not yet written. serve_ready() sends the answers
+  /// to every already-buffered (pipelined) request in one write.
+  struct PendingWrites {
+    std::string bytes;
+    /// (status class, handler start) per unwritten response, for
+    /// http_request_seconds; filled only when metrics are attached.
+    std::vector<std::pair<std::size_t, std::chrono::steady_clock::time_point>> timings;
+  };
+
+  /// Serves one parsed request (fault seam, handler, metrics) and appends
+  /// its response to `pending`. kClose when the client asked for close or
+  /// the server is draining.
+  RequestOutcome serve_one(const HttpRequest& request, PendingWrites& pending);
+
+  /// Writes and clears `pending`, then records its responses' latencies.
+  void flush(TcpStream& stream, PendingWrites& pending);
 
   /// Which shed layer refused a connection; becomes the X-Shed-Reason
   /// header on the 503 so load reports can attribute sheds.
@@ -186,7 +205,10 @@ class HttpServer {
   void dispatcher_loop();
   void worker_loop(std::size_t index);
   /// Serves every request currently available on the connection; true when
-  /// it stays open (keep-alive), false when closed.
+  /// it stays open (keep-alive), false when closed. Responses collect while
+  /// further requests are already buffered and are flushed before any read
+  /// that can block: a client that waits for response k before it sends
+  /// request k + 1 must not wait out read_timeout.
   bool serve_ready(Conn& conn);
 
   enum class ParkOutcome : std::uint8_t {
@@ -262,10 +284,11 @@ struct ClientOptions {
   /// Optional fault seam. Consulted at FaultSite::kConnect (keyed
   /// "host:port") before establishing a connection — kConnectRefused throws
   /// ECONNREFUSED — and at FaultSite::kExchange (keyed by the request
-  /// target) per send: kConnectionReset throws ECONNRESET (bypassing any
-  /// transparent reconnect-retry, so callers see the failure), kLatency
-  /// delays via `clock`, kHttp* returns a synthetic response without
-  /// touching the network. Must outlive the client.
+  /// target) once per request: kConnectionReset fails it with ECONNRESET
+  /// (bypassing any transparent reconnect-retry, so callers see the
+  /// failure), kLatency delays via `clock`, kHttp* answers it with a
+  /// synthetic response without touching the network. Must outlive the
+  /// client.
   chaos::FaultInjector* faults = nullptr;
 };
 
@@ -288,20 +311,41 @@ class HttpClient {
   ClientOptions options_;
 };
 
+/// The outcome of one request of a PersistentHttpClient batch: its response,
+/// or the transport error that left it unanswered.
+struct ExchangeResult {
+  std::optional<HttpResponse> response;
+  std::exception_ptr error;  ///< set exactly when `response` is empty
+};
+
 /// Keep-alive HTTP client: reuses one TCP connection across requests
 /// (HTTP/1.1 persistent connections), reconnecting transparently when the
-/// server closes it. Crawling a directory page-by-page over one connection
-/// avoids per-request handshakes — the crawler uses one per proxy identity.
-/// Not thread-safe; use one instance per thread.
+/// server closes it, and pipelines batches of requests over it. Crawling a
+/// directory page-by-page over one connection avoids per-request handshakes
+/// — the crawler uses one per proxy identity. Not thread-safe; use one
+/// instance per thread.
 class PersistentHttpClient {
  public:
   PersistentHttpClient(std::string host, std::uint16_t port, ClientOptions options = {})
       : host_(std::move(host)), port_(port), options_(options) {}
 
-  /// Sends a request over the persistent connection; reconnects once if the
-  /// connection was closed by the peer since the last exchange. Injected
-  /// faults are decided before the exchange and never trigger the
-  /// reconnect-retry: they propagate to the caller.
+  /// Pipelines `requests` (setting each one's Host header): one write of
+  /// all of them, then the responses read back in order. The single
+  /// exchange path; send() and get() are batches of one.
+  ///   * Injected faults are decided per request, in order, before any
+  ///     network work. A kHttp* fault answers its slot without sending it;
+  ///     a kConnectionReset fails its slot with ECONNRESET and drops the
+  ///     connection, so the rest go out on a fresh one. Neither is retried.
+  ///   * If a reused connection fails before its first response (the server
+  ///     may have timed it out since the last exchange), the batch is sent
+  ///     once more on a fresh connection. Any other failure, and a close
+  ///     after k responses, leaves slots k.. with the transport error.
+  /// The server reads a batch only as it answers it, so a batch's requests
+  /// must fit in the socket buffers; a few KB of GETs do.
+  [[nodiscard]] std::vector<ExchangeResult> exchange(std::span<HttpRequest> requests);
+
+  /// A batch of one; throws its transport error (std::system_error /
+  /// std::runtime_error).
   [[nodiscard]] HttpResponse send(HttpRequest request);
 
   [[nodiscard]] HttpResponse get(std::string target, Headers headers = {});
@@ -315,7 +359,11 @@ class PersistentHttpClient {
   void reset() noexcept;
 
  private:
-  [[nodiscard]] HttpResponse send_once(const HttpRequest& request);
+  /// One attempt: writes `wire` (the serialized requests of `slots`) and
+  /// reads their responses into `results`, counting them in `answered`.
+  /// Throws on the first transport failure.
+  void write_and_read(std::string_view wire, std::span<const std::size_t> slots,
+                      std::vector<ExchangeResult>& results, std::size_t& answered);
   void ensure_connected();
 
   std::string host_;

@@ -8,6 +8,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -17,6 +20,7 @@
 #include "crawler/apk.hpp"
 #include "crawler/crawler.hpp"
 #include "crawler/database.hpp"
+#include "crawler/db_io.hpp"
 #include "crawler/json.hpp"
 #include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
@@ -498,6 +502,58 @@ TEST_F(ServiceFixture, CrawlerEndToEndMatchesGroundTruth) {
   const auto series = database.snapshot_series();
   ASSERT_EQ(series.snapshots().size(), 3u);
   EXPECT_LT(series.snapshots()[0].total_downloads, series.snapshots()[2].total_downloads);
+}
+
+TEST_F(ServiceFixture, WindowedCrawlMatchesTheSerialCrawl) {
+  // A clean two-day crawl with comments and APKs (token buckets lifted, so
+  // no 429s) at 1 and 3 threads over 4 proxies. Its totals and its saved
+  // database are pinned to what the crawler produced when it sent one
+  // request at a time and waited for each reply.
+  ServicePolicy policy;
+  policy.rate_per_second = 1e9;
+  policy.burst = 1e9;
+  AppstoreService service(*generated_->store, policy);
+  const CrawlStats serial{.requests = 615,
+                          .apps_observed = 239,
+                          .comments_observed = 826,
+                          .apks_fetched = 135};
+  constexpr std::uint64_t kSerialDatabaseHash = 0x3b8ee5a189c5c7df;  // FNV-1a of the four files
+  const auto dir = std::filesystem::path(::testing::TempDir()) / "windowed_crawl";
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(threads);
+    obs::Registry registry;
+    CrawlDatabase database;
+    CrawlerOptions options;
+    options.port = service.port();
+    options.proxy_count = 4;
+    options.threads = threads;
+    options.fetch_comments = true;
+    options.fetch_apks = true;
+    options.metrics = &registry;
+    Crawler crawler(options, database);
+    for (const market::Day day : {market::Day{30}, market::Day{60}}) {
+      service.set_day(day);
+      (void)crawler.crawl_day(day);
+    }
+    const CrawlStats& stats = crawler.totals();
+    const auto snapshot = registry.snapshot();
+    const std::uint64_t directory_pages = snapshot.find_counter("crawler_pages_total")->value;
+    // On this store every app has one statistics page and one comments page.
+    EXPECT_EQ(stats.requests, 2 * stats.apps_observed + stats.apks_fetched + directory_pages);
+    EXPECT_TRUE(stats == serial);  // no 429, 403 or transient failure either
+    EXPECT_EQ(stats.requests, serial.requests);
+    EXPECT_EQ(stats.apps_observed, serial.apps_observed);
+    EXPECT_EQ(stats.comments_observed, serial.comments_observed);
+    EXPECT_EQ(stats.apks_fetched, serial.apks_fetched);
+
+    save_database(database, dir);
+    std::string bytes;
+    for (const char* name : {"observations.bin", "apps.csv", "observations.csv", "apk_scans.csv"}) {
+      std::ifstream in(dir / name, std::ios::binary);
+      bytes.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    EXPECT_EQ(util::hash64(bytes), kSerialDatabaseHash);
+  }
 }
 
 TEST_F(ServiceFixture, CrawlerUsesOnlyVersionedApi) {

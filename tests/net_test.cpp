@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/clock.hpp"
@@ -158,6 +162,71 @@ TEST(HttpFraming, ServerClosesInsteadOfServingSmuggledRequest) {
   EXPECT_TRUE(closed);
   server.stop();
   EXPECT_TRUE(served.empty());
+}
+
+// ---- reader buffer ------------------------------------------------------------------
+
+/// A connected pair of streams over a socketpair (the reader needs only recv()).
+std::pair<TcpStream, TcpStream> stream_pair() {
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    throw std::system_error(errno, std::generic_category(), "socketpair");
+  }
+  return {TcpStream{FileDescriptor(fds[0])}, TcpStream{FileDescriptor(fds[1])}};
+}
+
+TEST(HttpReader, RetainedBytesStayBoundedAcrossManyBodilessRequests) {
+  // A keep-alive connection reads GETs (no Content-Length) for as long as it
+  // lives; the reader must drop what it consumed instead of holding every
+  // request head it ever received.
+  auto [writer, reading_end] = stream_pair();
+  HttpReader reader(reading_end);
+  const std::string get =
+      "GET /api/v1/app/1234 HTTP/1.1\r\nHost: 127.0.0.1\r\nX-Client-Id: proxy-cn-0\r\n\r\n";
+  std::string batch;
+  for (int i = 0; i < 16; ++i) batch += get;
+  std::size_t most_retained = 0;
+  int read = 0;
+  for (int round = 0; round < 625; ++round) {  // 10 000 requests, 16 per write
+    writer.write_all(batch);
+    for (int i = 0; i < 16; ++i) {
+      const auto request = reader.read_request();
+      ASSERT_TRUE(request.has_value());
+      ASSERT_EQ(request->target, "/api/v1/app/1234");
+      ++read;
+      most_retained = std::max(most_retained, reader.retained_bytes());
+    }
+  }
+  EXPECT_EQ(read, 10000);
+  EXPECT_LE(most_retained, 2 * batch.size());  // not 10 000 heads (~800 KB)
+  EXPECT_EQ(reader.retained_bytes(), 0u);      // drained: nothing held
+}
+
+TEST(HttpReader, BufferedRequestNeverReadsTheSocket) {
+  auto [writer, reading_end] = stream_pair();
+  // A blocking read here would fail the test with EAGAIN instead of hanging.
+  reading_end.set_timeout(std::chrono::milliseconds(2000));
+  HttpReader reader(reading_end);
+  writer.write_all(
+      "GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 5\r\n\r\nhe");
+  const auto first = reader.read_request();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->target, "/a");
+  // The POST's body is incomplete: no request, and the message stays whole.
+  EXPECT_FALSE(reader.buffered_request().has_value());
+  EXPECT_TRUE(reader.buffered());
+  writer.write_all("lloGET /c HTTP/1.1\r\nHo");
+  const auto second = reader.read_request();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->target, "/b");
+  EXPECT_EQ(second->body, "hello");
+  EXPECT_FALSE(reader.buffered_request().has_value());  // head incomplete
+  writer.write_all("st: x\r\n\r\n");
+  EXPECT_FALSE(reader.buffered_request().has_value());  // bytes still in the socket
+  const auto third = reader.read_request();
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->target, "/c");
+  EXPECT_FALSE(reader.buffered());
 }
 
 // ---- sockets + server integration -------------------------------------------------

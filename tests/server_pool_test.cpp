@@ -1,15 +1,20 @@
-// Worker-pool server behavior: keep-alive reuse, bounded-queue load
-// shedding, graceful drain, and the service's per-day response cache.
+// Worker-pool server behavior: keep-alive reuse, pipelined batches,
+// bounded-queue load shedding, graceful drain, and the service's per-day
+// response cache.
 // Runs under the TSan preset (see CMakePresets.json / ROADMAP.md) — the
 // dispatcher/worker handoff is exactly the kind of code TSan exists for.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
+#include <string>
+#include <string_view>
 #include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "chaos/fault.hpp"
 #include "crawler/json.hpp"
 #include "crawler/service.hpp"
 #include "net/http.hpp"
@@ -140,6 +145,167 @@ TEST(WorkerPool, StopKicksParkedWorkers) {
   const auto start = std::chrono::steady_clock::now();
   server.stop();
   EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+}
+
+// ---- pipelining ----------------------------------------------------------------
+
+/// `count` GETs of /p0, /p1, ... back to back, as one pipelined write.
+std::string pipelined_gets(int count, std::string_view last_extra_header = {}) {
+  std::string wire;
+  for (int i = 0; i < count; ++i) {
+    HttpRequest request;
+    request.target = "/p" + std::to_string(i);
+    request.headers["Host"] = "127.0.0.1";
+    if (i + 1 == count && !last_extra_header.empty()) {
+      request.headers["Connection"] = std::string(last_extra_header);
+    }
+    request.serialize_into(wire);
+  }
+  return wire;
+}
+
+HttpResponse echo_target(const HttpRequest& request) {
+  return HttpResponse::text(200, "echo:" + request.target);
+}
+
+TEST(Pipelining, BatchIsAnsweredInOrderInOneWrite) {
+  obs::Registry registry;
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.metrics = &registry;
+  HttpServer server(options, echo_target);
+  TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.set_timeout(5s);
+  constexpr int kCount = 16;
+  stream.write_all(pipelined_gets(kCount));
+
+  // One recv as soon as anything is readable: had the server written each
+  // response on its own, this read would end after the first few.
+  std::string first_read(64 * 1024, '\0');
+  first_read.resize(stream.read_some(std::as_writable_bytes(std::span(first_read))));
+  std::size_t at = 0;
+  for (int i = 0; i < kCount; ++i) {
+    const std::string body = "echo:/p" + std::to_string(i);
+    const std::size_t found = first_read.find("HTTP/1.1 200 OK", at);
+    ASSERT_NE(found, std::string::npos) << "response " << i << " missing from the first read";
+    at = first_read.find(body, found);
+    ASSERT_NE(at, std::string::npos) << "response " << i << " out of order";
+  }
+  EXPECT_EQ(server.requests_served(), static_cast<std::uint64_t>(kCount));
+  const auto snapshot = registry.snapshot();
+  // Counted before the write, so visible once the responses are.
+  EXPECT_EQ(snapshot.find_counter("http_requests_total", "2xx")->value,
+            static_cast<std::uint64_t>(kCount));
+}
+
+TEST(Pipelining, ClientBatchMatchesResponsesToRequests) {
+  ServerOptions options;
+  options.worker_threads = 2;
+  HttpServer server(options, echo_target);
+  PersistentHttpClient client("127.0.0.1", server.port());
+  for (int round = 0; round < 3; ++round) {
+    std::vector<HttpRequest> requests(16);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].target = "/r" + std::to_string(round) + "/" + std::to_string(i);
+    }
+    const auto results = client.exchange(requests);
+    ASSERT_EQ(results.size(), requests.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].response.has_value()) << i;
+      EXPECT_EQ(results[i].response->body, "echo:" + requests[i].target);
+    }
+  }
+  EXPECT_EQ(client.get("/single").body, "echo:/single");  // a batch of one
+  EXPECT_EQ(client.connections_opened(), 1u);
+  EXPECT_EQ(server.requests_served(), 49u);
+}
+
+TEST(Pipelining, ConnectionCloseEndsThePipelineAfterItsResponse) {
+  ServerOptions options;
+  options.worker_threads = 2;
+  HttpServer server(options, echo_target);
+  TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.set_timeout(5s);
+  stream.write_all(pipelined_gets(3, "close"));
+  HttpReader reader(stream);
+  for (int i = 0; i < 3; ++i) {
+    const auto response = reader.read_response();
+    ASSERT_TRUE(response.has_value()) << i;
+    EXPECT_EQ(response->body, "echo:/p" + std::to_string(i));
+    EXPECT_EQ(response->headers.contains("Connection"), i == 2);
+  }
+  EXPECT_FALSE(reader.read_response().has_value());  // closed after the last
+  EXPECT_EQ(server.requests_served(), 3u);
+}
+
+TEST(Pipelining, HalfSentRequestDoesNotHoldBackEarlierResponses) {
+  // The server must flush the two answered requests before it blocks on
+  // the third one's missing bytes, or the client waits out read_timeout.
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.read_timeout = 10s;
+  HttpServer server(options, echo_target);
+  TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.set_timeout(5s);
+  const std::string third = pipelined_gets(1).replace(5, 2, "p2");
+  stream.write_all(pipelined_gets(2) + third.substr(0, 12));
+  HttpReader reader(stream);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 2; ++i) {
+    const auto response = reader.read_response();
+    ASSERT_TRUE(response.has_value()) << i;
+    EXPECT_EQ(response->body, "echo:/p" + std::to_string(i));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+  stream.write_all(third.substr(12));
+  const auto last = reader.read_response();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->body, "echo:/p2");
+  EXPECT_EQ(server.requests_served(), 3u);
+}
+
+TEST(Pipelining, ServerResetMidPipelineFailsTheLaterSlots) {
+  // Targets chosen so the server's fault plan resets exactly the third
+  // request of the batch: its two predecessors are answered, and it and
+  // everything behind it come back to the client as transport errors.
+  chaos::FaultPlan plan;
+  plan.seed = 3;
+  plan.max_faults_per_key = 1;
+  plan.rules.push_back({chaos::FaultSite::kServer, chaos::FaultKind::kConnectionReset, 0.5, {}});
+  std::vector<std::string> clean;
+  std::string reset_target;
+  for (int i = 0; clean.size() < 4 || reset_target.empty(); ++i) {
+    const std::string target = "/t" + std::to_string(i);
+    if (plan.decide(chaos::FaultSite::kServer, target, 0).none()) {
+      clean.push_back(target);
+    } else if (reset_target.empty()) {
+      reset_target = target;
+    }
+  }
+  chaos::FaultInjector injector(plan);
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.faults = &injector;
+  HttpServer server(options, echo_target);
+  PersistentHttpClient client("127.0.0.1", server.port());
+
+  std::vector<HttpRequest> requests(5);
+  const std::string targets[5] = {clean[0], clean[1], reset_target, clean[2], clean[3]};
+  for (std::size_t i = 0; i < requests.size(); ++i) requests[i].target = targets[i];
+  const auto results = client.exchange(requests);
+  ASSERT_EQ(results.size(), 5u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i].response.has_value()) << i;
+    EXPECT_EQ(results[i].response->body, "echo:" + targets[i]);
+  }
+  for (std::size_t i = 2; i < 5; ++i) {
+    EXPECT_FALSE(results[i].response.has_value()) << i;
+    EXPECT_TRUE(results[i].error != nullptr) << i;
+  }
+  EXPECT_EQ(server.requests_served(), 2u);
+  // The client dropped the dead connection; the next exchange reconnects.
+  EXPECT_EQ(client.get(clean[2]).body, "echo:" + clean[2]);
+  EXPECT_EQ(client.connections_opened(), 2u);
 }
 
 // ---- bounded queue load shedding ----------------------------------------------

@@ -3,14 +3,17 @@
 # in order, plus the ingest-while-serving acceptance bench.
 #
 #   tier-1   default build + full ctest suite
-#   tsan     ThreadSanitizer preset (parallel engine, server pool, live store)
+#   tsan     ThreadSanitizer preset (parallel engine, server pool, pipelined
+#            crawl, live store)
 #   chaos    corruption-fuzz labels, then the model-session and fit suites
 #            (fetch-at-most-once bitmap words and reset), the par suite
 #            (the pool's active-job list), the stats suite (the inline
 #            alias sampler), the query suite (bitmap word and tail
-#            arithmetic at block ends), the worker-pool server and load
-#            suites (parked-connection ownership), and the crawler suite
-#            (JSON number writer and seeded parser fuzz), under ASan
+#            arithmetic at block ends), the net suite (the HTTP reader's
+#            buffer offsets and compaction), the worker-pool server and load
+#            suites (parked-connection ownership, pipelined batches), and the
+#            crawler suite (JSON number writer, seeded parser fuzz, windowed
+#            crawl), under ASan
 #   load     worker-pool server + load-harness labels (default build), then
 #            bench_serving: the response cache on vs off (no exit gate)
 #   query    query-engine label (default build), then bench_query: exits
@@ -62,11 +65,11 @@ if want tsan; then
 fi
 
 if want chaos; then
-  banner "chaos: corruption fuzz + model sessions + par pool + alias sampler + query kernels + server pool + JSON codec under ASan"
+  banner "chaos: corruption fuzz + model sessions + par pool + alias sampler + query kernels + HTTP reader + server pool + JSON codec under ASan"
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j"$JOBS"
   ctest --test-dir build-asan -L chaos --output-on-failure
-  ctest --test-dir build-asan -R '^(models_test|fit_test|par_test|stats_test|query_test|server_pool_test|load_test|crawler_test)$' --output-on-failure
+  ctest --test-dir build-asan -R '^(models_test|fit_test|par_test|stats_test|query_test|net_test|server_pool_test|load_test|crawler_test)$' --output-on-failure
 fi
 
 if want load; then
